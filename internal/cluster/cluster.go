@@ -129,8 +129,14 @@ type Config struct {
 	// DisableRecovery turns every shard kill into an immediate transition
 	// to ShardDown (degraded mode), instead of a journal rebuild.
 	DisableRecovery bool
-	// CompactEvery checkpoints a shard's journal into a fresh base snapshot
-	// every that-many journaled batches. 0 selects 64; negative disables
+	// CompactEvery selects when a shard checkpoints its journal into a
+	// fresh base snapshot. 0 (the default) is the size rule: checkpoint once
+	// the journal holds as many ops as the shard holds keys. A snapshot of
+	// n keys is then paid for by at least n journaled ops — at most one
+	// snapshot key per op, amortized O(1) — and a rebuild replays at most n
+	// ops, folded into at most 2 core batches per run of point entries
+	// between range transforms. A positive value instead checkpoints every
+	// that-many journaled batches, whatever their size; negative disables
 	// compaction (the journal grows without bound).
 	CompactEvery int
 }
@@ -247,9 +253,6 @@ func New[K cmp.Ordered, V any](cfg Config, hash func(K) uint64) (*Cluster[K, V],
 	}
 	if cfg.MaxRecoveries == 0 {
 		cfg.MaxRecoveries = 3
-	}
-	if cfg.CompactEvery == 0 {
-		cfg.CompactEvery = 64
 	}
 	if cfg.Slots == 0 {
 		cfg.Slots = max(256, cfg.Shards)

@@ -466,7 +466,7 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 		s.m.SetTraceSink(s.sink)
 		s.plan = inc.plan
 		s.baseKeys, s.baseVals = inc.keys, inc.vals
-		s.entries = inc.entries
+		s.resetJournal(inc.entries) // replaySuffix copied them out of every arena
 		s.committedLen = s.m.Len()
 		s.state = ShardRunning
 		s.downCause = nil
@@ -484,7 +484,9 @@ func (c *Cluster[K, V]) migrate(base *epochView[K, V], newSlots []int32, added [
 		s.closeMachine()
 		s.state = ShardRetired
 		s.downCause = nil
-		s.baseKeys, s.baseVals, s.entries = nil, nil, nil
+		s.baseKeys, s.baseVals = nil, nil
+		s.resetJournal(nil)
+		s.logKeys, s.logVals = nil, nil
 		s.committedLen = 0
 		s.migrating = false
 		s.migrations++

@@ -45,8 +45,10 @@ type shardBatch[K cmp.Ordered, V any] struct {
 
 // shardReply is one shard's answer: exactly one result slice is populated
 // (by kind), plus the shard's accumulated cost for the batch — including
-// failed attempts, rebuilds, replays and checkpoints, all charged honestly
-// to the batch that triggered them.
+// failed attempts, rebuilds and replays, all charged honestly to the batch
+// that needed them. A checkpoint the batch happens to trigger is
+// maintenance, not part of the batch's work: it is billed to the shard's
+// Recovery and Total accounts only (commit).
 type shardReply[K cmp.Ordered, V any] struct {
 	bools  []bool
 	gets   []core.GetResult[V]
@@ -68,8 +70,8 @@ const (
 )
 
 // logEntry is one acked mutating batch, copied out of the (reused) scatter
-// workspace. Replaying base + entries in order reconstructs the shard's
-// committed state exactly.
+// workspace into the shard's journal arena. Replaying base + entries in
+// order reconstructs the shard's committed state exactly.
 type logEntry[K cmp.Ordered, V any] struct {
 	kind logKind
 	// seq is the cluster-wide commit sequence of the acked batch. Within one
@@ -77,7 +79,10 @@ type logEntry[K cmp.Ordered, V any] struct {
 	// seq marks shares of the same cluster batch (a broadcast transform is
 	// journaled by every mutating shard under one seq, and replayed exactly
 	// once per seq at migration cutover).
-	seq  int64
+	seq int64
+	// keys/vals of a point entry are capacity-clipped spans of the shard's
+	// logKeys/logVals arena (or, for entries a migration installed, slices
+	// of their own). ops is a transform entry's own copy.
 	keys []K
 	vals []V
 	ops  []core.RangeOp[K, V]
@@ -97,10 +102,16 @@ type shard[K cmp.Ordered, V any] struct {
 	sink  trace.Sink
 
 	// Journal: the last checkpointed base snapshot plus every acked
-	// mutating batch since.
-	baseKeys []K
-	baseVals []V
-	entries  []logEntry[K, V]
+	// mutating batch since. logKeys/logVals are the flat arena the point
+	// entries' keys/vals live in, truncated (capacity kept) at every
+	// checkpoint; journalOps is the entries' total op count (Σ keys per
+	// point entry, Σ ops per transform entry), kept incrementally.
+	baseKeys   []K
+	baseVals   []V
+	entries    []logEntry[K, V]
+	logKeys    []K
+	logVals    []V
+	journalOps int
 
 	// committedLen is the logical key count as of the last acked batch —
 	// the length a rebuild must land on.
@@ -292,40 +303,64 @@ func (s *shard[K, V]) exec(b *shardBatch[K, V], rep *shardReply[K, V]) error {
 }
 
 // commit acks b: journal the mutation, advance the committed length, and
-// checkpoint the journal when it has grown past CompactEvery.
+// checkpoint the journal when it is due (checkpointDue). The checkpoint is
+// maintenance: its cost lands in the shard's Recovery and Total accounts,
+// never in rep.st, so the client batch that tripped it is billed only for
+// its own work.
 func (s *shard[K, V]) commit(b *shardBatch[K, V], rep *shardReply[K, V]) {
 	s.journal(b)
 	s.committedLen = s.m.Len()
 	s.batches++
-	if ce := s.c.cfg.CompactEvery; ce > 0 && len(s.entries) >= ce && !s.migrating {
+	s.total.Accumulate(rep.st)
+	if s.checkpointDue() && !s.migrating {
 		// Best-effort: a failed checkpoint (the fault plan can kill the
 		// snapshot too) keeps the longer journal; the batch itself is
 		// already acked. Suppressed mid-migration: the cutover replays the
 		// journal suffix accumulated since the migration froze its base, so
 		// truncating it here would lose acked batches from the new epoch.
-		_ = s.compactLocked(&rep.st, &s.recovery)
+		var st core.BatchStats
+		_ = s.compactLocked(&st, &s.recovery)
+		s.total.Accumulate(st)
 	}
-	s.total.Accumulate(rep.st)
+}
+
+// checkpointDue applies the compaction trigger. At the default
+// (CompactEvery 0) it is the size rule: checkpoint once the journal holds
+// as many ops as the shard holds keys, so each journaled op pays for at
+// most one snapshot key and a replay never exceeds the shard's size. A
+// positive CompactEvery counts journaled batches instead; a negative one
+// disables compaction.
+func (s *shard[K, V]) checkpointDue() bool {
+	switch ce := s.c.cfg.CompactEvery; {
+	case ce > 0:
+		return len(s.entries) >= ce
+	case ce == 0:
+		return len(s.entries) > 0 && s.journalOps >= s.committedLen
+	}
+	return false
 }
 
 // journal records b's mutation, copying keys/vals out of the reused scatter
-// workspace. Range batches record only their RangeTransform ops — reads
-// don't change state, and transforms apply in batch order among themselves.
+// workspace into the journal arena. Range batches record only their
+// RangeTransform ops — reads don't change state, and transforms apply in
+// batch order among themselves.
 func (s *shard[K, V]) journal(b *shardBatch[K, V]) {
 	switch b.kind {
 	case opUpsert:
 		s.entries = append(s.entries, logEntry[K, V]{
 			kind: logUpsert,
 			seq:  b.seq,
-			keys: append([]K(nil), b.keys...),
-			vals: append([]V(nil), b.vals...),
+			keys: appendSpan(&s.logKeys, b.keys),
+			vals: appendSpan(&s.logVals, b.vals),
 		})
+		s.journalOps += len(b.keys)
 	case opDelete:
 		s.entries = append(s.entries, logEntry[K, V]{
 			kind: logDelete,
 			seq:  b.seq,
-			keys: append([]K(nil), b.keys...),
+			keys: appendSpan(&s.logKeys, b.keys),
 		})
+		s.journalOps += len(b.keys)
 	case opRange:
 		var tf []core.RangeOp[K, V]
 		for _, op := range b.rops {
@@ -335,15 +370,43 @@ func (s *shard[K, V]) journal(b *shardBatch[K, V]) {
 		}
 		if len(tf) > 0 {
 			s.entries = append(s.entries, logEntry[K, V]{kind: logTransform, seq: b.seq, ops: tf})
+			s.journalOps += len(tf)
 		}
+	}
+}
+
+// appendSpan copies src onto the end of *arena and returns the copy as a
+// capacity-clipped span, so a later append can never write through it. A
+// span outlives arena growth (it keeps the old backing array); it is only
+// invalidated by resetJournal, which drops every entry with it.
+func appendSpan[T any](arena *[]T, src []T) []T {
+	lo := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[lo:len(*arena):len(*arena)]
+}
+
+// resetJournal installs entries as the whole journal (nil or empty for a
+// fresh checkpoint) and truncates the arena for reuse. entries must not
+// reference the arena: every span in it is overwritten by later appends.
+func (s *shard[K, V]) resetJournal(entries []logEntry[K, V]) {
+	clear(s.entries)
+	s.entries = entries
+	s.logKeys = s.logKeys[:0]
+	s.logVals = s.logVals[:0]
+	s.journalOps = 0
+	for i := range entries {
+		s.journalOps += len(entries[i].keys) + len(entries[i].ops)
 	}
 }
 
 // rebuildLocked replaces the dead incarnation: close it, strip a terminal
 // kill plan to its inner plan (the kill consumed the incarnation it was
 // aimed at), construct a fresh machine, bulk-load the base snapshot, replay
-// the journal in order, and verify the committed length. All costs charge
-// into rep.st and the shard's recovery account.
+// the journal, and verify the committed length. Transform entries replay in
+// order; each run of point entries between them replays as its net effect
+// (foldPoints), so a journal of many tiny batches costs at most two core
+// batches per run. All costs charge into rep.st and the shard's recovery
+// account.
 func (s *shard[K, V]) rebuildLocked(rep *shardReply[K, V]) error {
 	s.closeMachine()
 	if ip, ok := s.plan.(interface{ Inner() core.FaultPlan }); ok {
@@ -370,20 +433,35 @@ func (s *shard[K, V]) rebuildLocked(rep *shardReply[K, V]) error {
 			return fail(err)
 		}
 	}
-	for _, e := range s.entries {
-		var st core.BatchStats
-		var err error
-		switch e.kind {
-		case logUpsert:
-			_, st, err = m.TryUpsert(e.keys, e.vals)
-		case logDelete:
-			_, st, err = m.TryDelete(e.keys)
-		case logTransform:
-			_, st, err = m.TryRangeAuto(e.ops)
+	for i := 0; i < len(s.entries); {
+		if s.entries[i].kind == logTransform {
+			_, st, err := m.TryRangeAuto(s.entries[i].ops)
+			charge(st)
+			if err != nil {
+				return fail(err)
+			}
+			i++
+			continue
 		}
-		charge(st)
-		if err != nil {
-			return fail(err)
+		j := i + 1
+		for j < len(s.entries) && s.entries[j].kind != logTransform {
+			j++
+		}
+		upKeys, upVals, delKeys := foldPoints(s.entries[i:j])
+		i = j
+		if len(upKeys) > 0 {
+			_, st, err := m.TryUpsert(upKeys, upVals)
+			charge(st)
+			if err != nil {
+				return fail(err)
+			}
+		}
+		if len(delKeys) > 0 {
+			_, st, err := m.TryDelete(delKeys)
+			charge(st)
+			if err != nil {
+				return fail(err)
+			}
 		}
 	}
 	if m.Len() != s.committedLen {
@@ -393,6 +471,41 @@ func (s *shard[K, V]) rebuildLocked(rep *shardReply[K, V]) error {
 	s.recoveries++
 	rep.recovered++
 	return nil
+}
+
+// foldPoints returns the net effect of a run of point entries: the last op
+// per key wins, giving the keys whose last op is an upsert (with its value)
+// and, disjoint from them, the keys whose last op is a delete — each in
+// order of first appearance, so the replay is deterministic. Applying both
+// in either order leaves the same state as replaying the run batch by batch.
+func foldPoints[K cmp.Ordered, V any](run []logEntry[K, V]) (upKeys []K, upVals []V, delKeys []K) {
+	type last struct {
+		del bool
+		v   V
+	}
+	net := make(map[K]last)
+	var order []K
+	for _, e := range run {
+		for i, k := range e.keys {
+			if _, seen := net[k]; !seen {
+				order = append(order, k)
+			}
+			if e.kind == logDelete {
+				net[k] = last{del: true}
+			} else {
+				net[k] = last{v: e.vals[i]}
+			}
+		}
+	}
+	for _, k := range order {
+		if l := net[k]; l.del {
+			delKeys = append(delKeys, k)
+		} else {
+			upKeys = append(upKeys, k)
+			upVals = append(upVals, l.v)
+		}
+	}
+	return upKeys, upVals, delKeys
 }
 
 // compactLocked checkpoints the live state into a fresh base snapshot and
@@ -411,7 +524,7 @@ func (s *shard[K, V]) compactLocked(charge, acct *core.BatchStats) error {
 	}
 	s.baseKeys = keys
 	s.baseVals = vals
-	s.entries = nil
+	s.resetJournal(s.entries[:0])
 	return nil
 }
 
@@ -429,17 +542,22 @@ type ShardStats struct {
 	// JournalBase and JournalBatches size the journal: base snapshot keys
 	// plus acked batches since the last checkpoint. JournalOps is the total
 	// operation count across those batches (Σ keys per point entry, Σ ops
-	// per transform entry) — the observable measure of journal growth when
-	// CompactEvery < 0 disables compaction.
+	// per transform entry) — the quantity the default size-triggered
+	// checkpoint compares against Len, and the observable measure of
+	// journal growth when CompactEvery < 0 disables compaction.
 	JournalBase, JournalBatches, JournalOps int
 	// Migrations counts epoch cutovers this shard took part in (as a source,
 	// target, or retiree of SplitShard/MergeShards/Rebalance).
 	Migrations int64
-	// Total accumulates every acked batch's cost (including recovery and
-	// checkpoint work charged to those batches); Recovery isolates just the
-	// rebuild/replay/checkpoint share. Migration is the Recovery-style
-	// account migration rounds are charged to: snapshot freezes, bulk loads,
-	// and journal-suffix replays that built this shard's new incarnations.
+	// Total accumulates every acked batch's cost (including the recovery
+	// work charged to those batches) plus every checkpoint; Recovery
+	// isolates just the rebuild/replay/checkpoint share. Checkpoints are
+	// maintenance: they appear here but never in the per-call
+	// Stats.Shards of the batch that tripped them, so in a fault-free run
+	// Σ per-call Stats.Shards[i] plus Recovery equals Total. Migration is
+	// the Recovery-style account migration rounds are charged to: snapshot
+	// freezes, bulk loads, and journal-suffix replays that built this
+	// shard's new incarnations.
 	Total, Recovery, Migration core.BatchStats
 	// Faults accumulates fault-injection counters across all incarnations.
 	Faults core.FaultStats
@@ -450,10 +568,6 @@ func (c *Cluster[K, V]) ShardStats(i int) ShardStats {
 	s := c.view.load().shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	journalOps := 0
-	for j := range s.entries {
-		journalOps += len(s.entries[j].keys) + len(s.entries[j].ops)
-	}
 	st := ShardStats{
 		State:          s.state,
 		Len:            s.committedLen,
@@ -462,7 +576,7 @@ func (c *Cluster[K, V]) ShardStats(i int) ShardStats {
 		Recoveries:     s.recoveries,
 		JournalBase:    len(s.baseKeys),
 		JournalBatches: len(s.entries),
-		JournalOps:     journalOps,
+		JournalOps:     s.journalOps,
 		Migrations:     s.migrations,
 		Total:          s.total,
 		Recovery:       s.recovery,

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"weak"
 
 	"pimgo/internal/pim"
 )
@@ -106,6 +108,32 @@ func TestClosedMapTypedError(t *testing.T) {
 		}()
 		m.Get([]uint64{1})
 	}()
+}
+
+// TestClosedMapIsCollected: a closed Map's machine becomes garbage once the
+// caller drops the Map. The machine's worker-pool finalizer sits in a
+// reference cycle (Map → machine → module state → Map), and Go never
+// collects a cycle holding a finalizer, so Close must clear it.
+func TestClosedMapIsCollected(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // NewMachine spawns workers only when > 1
+	m := New[uint64, int64](Config{P: 8, Seed: 0xC0FFEE}, Uint64Hash)
+	const n = 4096
+	keys := make([]uint64, n)
+	vals := make([]int64, n)
+	for i := range keys {
+		keys[i] = uint64(i)*2 + 1
+		vals[i] = int64(i)
+	}
+	m.Upsert(keys, vals)
+	m.Close()
+	wp := weak.Make(m.mach)
+	m = nil
+	for i := 0; i < 3 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("closed Map's machine is still reachable after runtime.GC")
+	}
 }
 
 // TestUnrecoverableFaultTypedError: a plan that drops every message defeats

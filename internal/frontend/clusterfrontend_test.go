@@ -425,15 +425,19 @@ func TestClusterFrontendChaosSoak(t *testing.T) {
 		name string
 		mk   func(int) core.FaultPlan
 		kill bool
+		// sizeRule keeps the default CompactEvery (size-triggered
+		// checkpoints) instead of the count rule's 16.
+		sizeRule bool
 	}{
-		{"none", func(int) core.FaultPlan { return nil }, false},
-		{"none+kill", func(int) core.FaultPlan { return nil }, true},
-		{"drop", func(i int) core.FaultPlan { return pim.DropPlan(faultSeed+uint64(i), 800) }, false},
-		{"duplicate", func(i int) core.FaultPlan { return pim.DupPlan(faultSeed+uint64(i), 800) }, false},
-		{"delay", func(i int) core.FaultPlan { return pim.DelayPlan(faultSeed+uint64(i), 800, 3) }, false},
-		{"stall", func(i int) core.FaultPlan { return pim.StallPlan(faultSeed+uint64(i), 1500, 4) }, false},
-		{"crash", func(i int) core.FaultPlan { return pim.CrashPlan(faultSeed+uint64(i), 400, 2) }, false},
-		{"chaos+kill", func(i int) core.FaultPlan { return pim.ChaosPlan(faultSeed + uint64(i)) }, true},
+		{"none", func(int) core.FaultPlan { return nil }, false, false},
+		{"none+kill", func(int) core.FaultPlan { return nil }, true, false},
+		{"drop", func(i int) core.FaultPlan { return pim.DropPlan(faultSeed+uint64(i), 800) }, false, false},
+		{"duplicate", func(i int) core.FaultPlan { return pim.DupPlan(faultSeed+uint64(i), 800) }, false, false},
+		{"delay", func(i int) core.FaultPlan { return pim.DelayPlan(faultSeed+uint64(i), 800, 3) }, false, false},
+		{"stall", func(i int) core.FaultPlan { return pim.StallPlan(faultSeed+uint64(i), 1500, 4) }, false, false},
+		{"crash", func(i int) core.FaultPlan { return pim.CrashPlan(faultSeed+uint64(i), 400, 2) }, false, false},
+		{"chaos+kill", func(i int) core.FaultPlan { return pim.ChaosPlan(faultSeed + uint64(i)) }, true, false},
+		{"chaos+kill+sizerule", func(i int) core.FaultPlan { return pim.ChaosPlan(faultSeed + uint64(i)) }, true, true},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -453,7 +457,9 @@ func TestClusterFrontendChaosSoak(t *testing.T) {
 				// journal, so replies stay exact and migrations retry
 				// through machine deaths.
 				cfg.MaxRecoveries = -1
-				cfg.CompactEvery = 16
+				if !tc.sizeRule {
+					cfg.CompactEvery = 16
+				}
 			})
 			prof := trace.NewProfile()
 			f := NewClusterFrontend(c, ClusterConfig{

@@ -294,11 +294,15 @@ func newMachineWorkers[S any](p, workers int, newState func(id ModuleID) S) *Mac
 // optional — an unreachable machine is cleaned up by a finalizer. After
 // Close, TryRound/TryDrive return ErrClosed deterministically (and the
 // panicking Round/Drive wrappers panic with it) instead of racing dead
-// workers.
+// workers. Close also clears that finalizer: a machine usually sits in a
+// reference cycle (its owner → machine → module state → tasks → owner),
+// and Go never collects a cycle that holds a finalizer, so without this a
+// closed machine and everything it reaches would stay live forever.
 func (m *Machine[S]) Close() {
 	m.closed = true
 	if m.eng != nil {
 		m.eng.stop.Do(func() { close(m.eng.quit) })
+		runtime.SetFinalizer(m, nil)
 	}
 }
 
