@@ -65,6 +65,48 @@ func TestCheckMarkdown(t *testing.T) {
 	}
 }
 
+// TestCheckMarkdownPlanDocs: a stale command or API name in a root-level
+// history or plan file passes, while the same names in docs/ fail. Links
+// are checked in every file.
+func TestCheckMarkdownPlanDocs(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "docs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := "`pimbench gone` and `pimgo.Gone` were removed.\n"
+	for name, body := range map[string]string{
+		"CHANGES.md":                      stale + "[old](missing.md)\n",
+		"ROADMAP.md":                      stale,
+		"ISSUE.md":                        stale,
+		filepath.Join("docs", "GUIDE.md"): stale,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	report, got := collect()
+	checkMarkdown(dir, map[string]bool{"trace": true}, map[string]bool{"Frontend": true}, report)
+
+	if len(*got) != 3 {
+		t.Fatalf("got %d problems, want 3: %v", len(*got), *got)
+	}
+	var cmd, sym, link bool
+	for _, p := range *got {
+		switch {
+		case strings.Contains(p, "GUIDE.md") && strings.Contains(p, "unknown pimbench command"):
+			cmd = true
+		case strings.Contains(p, "GUIDE.md") && strings.Contains(p, "unknown API reference"):
+			sym = true
+		case strings.Contains(p, "CHANGES.md") && strings.Contains(p, "broken link"):
+			link = true
+		}
+	}
+	if !cmd || !sym || !link {
+		t.Fatalf("want docs/ command and API problems plus the CHANGES.md link, got %v", *got)
+	}
+}
+
 func TestCheckGodoc(t *testing.T) {
 	dir := t.TempDir()
 	src := `// Package sample is a doc-coverage fixture.

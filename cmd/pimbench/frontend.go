@@ -123,7 +123,6 @@ type frontendEntry struct {
 	P          int            `json:"p"`
 	MaxBatch   int            `json:"max_batch"`
 	MaxWaitUs  float64        `json:"max_wait_us"`
-	Pipelined  bool           `json:"pipelined,omitempty"`
 	Note       string         `json:"note,omitempty"`
 	Rungs      []frontendRung `json:"rungs"`
 }
@@ -453,7 +452,6 @@ func runFrontend(args []string) {
 	totalOps := f.Int64("totalops", 200000, "target total ops per rung (per-client ops = max(1, totalops/clients))")
 	maxBatch := f.Int("maxbatch", 0, "frontend MaxBatch (0 = default)")
 	maxWait := f.Duration("maxwait", 0, "frontend MaxWait dwell")
-	pipelined := f.Bool("pipelined", false, "flush through a core.Pipeline (docs/PIPELINE.md)")
 	naiveCap := f.Int64("naivecap", 20000, "op cap for the naive one-op-per-batch baseline")
 	prefill := f.Int("prefill", 1<<17, "size of the shared read region (the steady-state working set)")
 	smoke := f.Bool("smoke", false, "small CI ladder (100,1000 clients, 20k ops), result not recorded")
@@ -465,7 +463,7 @@ func runFrontend(args []string) {
 		*naiveCap = 2000
 	}
 	ladder := parseInts(*clientsList)
-	fcfg := frontend.Config{MaxBatch: *maxBatch, MaxWait: *maxWait, Pipelined: *pipelined}
+	fcfg := frontend.Config{MaxBatch: *maxBatch, MaxWait: *maxWait}
 	shared := benchSharedKeys(*prefill)
 
 	entry := frontendEntry{
@@ -476,7 +474,6 @@ func runFrontend(args []string) {
 		P:          *p,
 		MaxBatch:   *maxBatch,
 		MaxWaitUs:  float64(maxWait.Microseconds()),
-		Pipelined:  *pipelined,
 		Note:       *note,
 	}
 

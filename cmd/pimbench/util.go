@@ -38,22 +38,35 @@ type benchJSON[E any] struct {
 // write can never silently eat history), replaces the existing entry whose
 // label matches labelOf(entry) or appends if none does, and writes the file
 // back. It returns the final entry count and whether an entry was replaced.
+// Existing entries are kept as raw JSON and only their label is decoded, so
+// a recorded field that E no longer declares survives the rewrite.
 func mergeBenchEntry[E any](path, bench, unit string, entry E, labelOf func(E) string) (n int, replaced bool, err error) {
-	file := benchJSON[E]{Bench: bench, Unit: unit}
+	file := benchJSON[json.RawMessage]{Bench: bench, Unit: unit}
 	if raw, rerr := os.ReadFile(path); rerr == nil {
 		if jerr := json.Unmarshal(raw, &file); jerr != nil {
 			return 0, false, fmt.Errorf("existing %s is not valid JSON (%v); refusing to overwrite", path, jerr)
 		}
 	}
-	for i := range file.Entries {
-		if labelOf(file.Entries[i]) == labelOf(entry) {
-			file.Entries[i] = entry
+	enc, err := json.Marshal(entry)
+	if err != nil {
+		return 0, false, err
+	}
+	label := labelOf(entry)
+	for i, old := range file.Entries {
+		var id struct {
+			Label string `json:"label"`
+		}
+		if jerr := json.Unmarshal(old, &id); jerr != nil {
+			return 0, false, fmt.Errorf("existing %s entry %d has no readable label (%v); refusing to overwrite", path, i, jerr)
+		}
+		if id.Label == label {
+			file.Entries[i] = enc
 			replaced = true
 			break
 		}
 	}
 	if !replaced {
-		file.Entries = append(file.Entries, entry)
+		file.Entries = append(file.Entries, enc)
 	}
 	raw, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {

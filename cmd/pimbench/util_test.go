@@ -73,6 +73,54 @@ func TestMergeBenchEntryRefusesCorruptFile(t *testing.T) {
 	}
 }
 
+// TestMergeBenchEntryKeepsUnknownFields: an existing entry carrying a field
+// the current entry struct no longer declares survives, byte for byte, a
+// merge that appends a different label.
+func TestMergeBenchEntryKeepsUnknownFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	old := `{
+  "bench": "test",
+  "unit": "unit",
+  "entries": [
+    {
+      "label": "old",
+      "n": 1,
+      "retired": true,
+      "ratio": 1.50
+    }
+  ]
+}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries := func(raw []byte) []json.RawMessage {
+		t.Helper()
+		var file benchJSON[json.RawMessage]
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		return file.Entries
+	}
+	before := entries([]byte(old))[0]
+
+	n, replaced, err := mergeBenchEntry(path, "test", "unit", testEntry{Label: "new", N: 2}, testLabel)
+	if err != nil || n != 2 || replaced {
+		t.Fatalf("append: n=%d replaced=%v err=%v, want 2,false,nil", n, replaced, err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := entries(raw)
+	if len(after) != 2 {
+		t.Fatalf("entries = %d, want 2", len(after))
+	}
+	if string(after[0]) != string(before) {
+		t.Errorf("recorded entry changed:\n got %s\nwant %s", after[0], before)
+	}
+}
+
 // stubExit replaces exitFn with one that records the code and panics with
 // sentinel (so the refusing command stops like a real exit would), and
 // returns a closure that asserts exactly one exit with code 1 happened.

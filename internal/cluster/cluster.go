@@ -361,20 +361,17 @@ func (c *Cluster[K, V]) begin() error {
 
 func (c *Cluster[K, V]) end() { c.inBatch.Store(false) }
 
-// scatterInto routes keys (and vals, when non-nil) into shard-major,
-// submission-order-within-shard position using one stable counting sort —
-// the reply-assembly idiom of the reliable transport. After scatter,
-// ws.starts[s]..starts[s]+counts[s] is shard s's sub-batch and ws.order[j]
-// is the submission index occupying scatter position j, which gather uses
-// to put replies back into the caller's order.
-//
-// The workspace is explicit: serial batches use the cluster's own ws, while
-// the pipeline scatters into its second workspace whilst an earlier batch's
-// shards are still executing (pipeline.go). Routing within an epoch is a
-// pure function of (hash, Seed, table) — it reads no shard state — and the
-// epoch cannot change while the gate is held (migrations need the gate to
-// publish), which is what makes that overlap legal.
-func (c *Cluster[K, V]) scatterInto(ws *clusterWS[K, V], keys []K, vals []V) {
+// scatter routes keys (and vals, when non-nil) into shard-major,
+// submission-order-within-shard position in the cluster's workspace using
+// one stable counting sort — the reply-assembly idiom of the reliable
+// transport. After scatter, ws.starts[s]..starts[s]+counts[s] is shard s's
+// sub-batch and ws.order[j] is the submission index occupying scatter
+// position j, which gather uses to put replies back into the caller's
+// order. The epoch cannot change while the gate is held (migrations need
+// the gate to publish), so the routing table loaded here stays current for
+// the whole batch.
+func (c *Cluster[K, V]) scatter(keys []K, vals []V) {
+	ws := &c.ws
 	v := c.view.load()
 	n := len(keys)
 	ns := len(v.shards)
@@ -445,11 +442,12 @@ func (c *Cluster[K, V]) runShards(batches []*shardBatch[K, V]) []shardReply[K, V
 	return reps
 }
 
-// pointBatchesWS slices the scattered workspace into one shardBatch per
+// pointBatches slices the scattered workspace into one shardBatch per
 // non-empty shard. withVals selects whether the permuted vals ride along.
 // Mutating kinds draw one cluster-wide commit sequence number, shared by
 // every shard's sub-batch (see Cluster.mutSeq).
-func (c *Cluster[K, V]) pointBatchesWS(ws *clusterWS[K, V], kind batchKind, withVals bool) []*shardBatch[K, V] {
+func (c *Cluster[K, V]) pointBatches(kind batchKind, withVals bool) []*shardBatch[K, V] {
+	ws := &c.ws
 	ns := len(ws.counts)
 	var seq int64
 	if kind.mutates() {
@@ -471,9 +469,7 @@ func (c *Cluster[K, V]) pointBatchesWS(ws *clusterWS[K, V], kind batchKind, with
 	return batches
 }
 
-// finish assembles the cluster Stats from per-shard replies and releases
-// the batch gate. It returns the first non-shard-level error (a concurrent
-// batch, a closed cluster — failures of the whole call, not of one shard).
+// finish assembles the cluster Stats from per-shard replies.
 func (c *Cluster[K, V]) finish(batch int, reps []shardReply[K, V]) Stats {
 	st := Stats{Batch: batch, Shards: make([]core.BatchStats, len(reps))}
 	for i := range reps {
@@ -493,10 +489,10 @@ func (c *Cluster[K, V]) TryGet(keys []K) (res []core.GetResult[V], errs []error,
 		return nil, nil, Stats{}, err
 	}
 	defer c.end()
-	c.scatterInto(&c.ws, keys, nil)
-	reps := c.runShards(c.pointBatchesWS(&c.ws, opGet, false))
+	c.scatter(keys, nil)
+	reps := c.runShards(c.pointBatches(opGet, false))
 	res = make([]core.GetResult[V], len(keys))
-	errs = c.gatherPointWS(&c.ws, len(keys), reps, func(j, i, s int) {
+	errs = c.gatherPoint(len(keys), reps, func(j, i, s int) {
 		res[i] = reps[s].gets[j]
 	})
 	return res, errs, c.finish(len(keys), reps), nil
@@ -513,10 +509,10 @@ func (c *Cluster[K, V]) TryUpsert(keys []K, vals []V) (res []bool, errs []error,
 		return nil, nil, Stats{}, err
 	}
 	defer c.end()
-	c.scatterInto(&c.ws, keys, vals)
-	reps := c.runShards(c.pointBatchesWS(&c.ws, opUpsert, true))
+	c.scatter(keys, vals)
+	reps := c.runShards(c.pointBatches(opUpsert, true))
 	res = make([]bool, len(keys))
-	errs = c.gatherPointWS(&c.ws, len(keys), reps, func(j, i, s int) {
+	errs = c.gatherPoint(len(keys), reps, func(j, i, s int) {
 		res[i] = reps[s].bools[j]
 	})
 	return res, errs, c.finish(len(keys), reps), nil
@@ -529,10 +525,10 @@ func (c *Cluster[K, V]) TryDelete(keys []K) (res []bool, errs []error, st Stats,
 		return nil, nil, Stats{}, err
 	}
 	defer c.end()
-	c.scatterInto(&c.ws, keys, nil)
-	reps := c.runShards(c.pointBatchesWS(&c.ws, opDelete, false))
+	c.scatter(keys, nil)
+	reps := c.runShards(c.pointBatches(opDelete, false))
 	res = make([]bool, len(keys))
-	errs = c.gatherPointWS(&c.ws, len(keys), reps, func(j, i, s int) {
+	errs = c.gatherPoint(len(keys), reps, func(j, i, s int) {
 		res[i] = reps[s].bools[j]
 	})
 	return res, errs, c.finish(len(keys), reps), nil
@@ -541,7 +537,8 @@ func (c *Cluster[K, V]) TryDelete(keys []K) (res []bool, errs []error, st Stats,
 // gatherPoint walks the scattered order permutation and invokes set(j, i, s)
 // for each position j of shard s holding submission index i, building the
 // per-key error slice along the way (nil when no shard failed).
-func (c *Cluster[K, V]) gatherPointWS(ws *clusterWS[K, V], n int, reps []shardReply[K, V], set func(j, i, s int)) []error {
+func (c *Cluster[K, V]) gatherPoint(n int, reps []shardReply[K, V], set func(j, i, s int)) []error {
+	ws := &c.ws
 	var errs []error
 	anyErr := false
 	for _, rep := range reps {

@@ -97,7 +97,7 @@ type MigrationReport struct {
 // moves to a freshly created shard (returned id == Shards() before the
 // call), migrated live under the three-phase protocol above. It fails typed
 // with ErrRebalancing if another migration is in flight, ErrConcurrentBatch
-// if a batch or pipeline holds the gate, and ErrShardState if src is not
+// if a batch holds the gate, and ErrShardState if src is not
 // Running or owns fewer than two slots.
 func (c *Cluster[K, V]) SplitShard(src int, opts *MigrateOpts) (int, MigrationReport, error) {
 	base := c.view.load()

@@ -158,26 +158,24 @@ func (m *Map[K, V]) DeleteInto(keys []K, dst []bool) ([]bool, BatchStats) {
 	if B == 0 {
 		return out, m.endBatch(tr, c, 0, 0, 0)
 	}
-	m.prepDelete(m.ws, c, keys)
+	m.prepDelete(c, keys)
 	m.execDelete(c, B, out)
 	return out, m.endBatch(tr, c, B, 0, 0)
 }
 
-// prepDelete is Delete's round-free CPU prefix on workspace ws: semisort
-// dedup and probe-send construction. Like prepGet it is a pure function of
-// (keys, config, hash) — no structure or machine state is read and no Map
-// RNG is drawn — so the pipeline may run it while an earlier batch's rounds
-// are in flight.
-func (m *Map[K, V]) prepDelete(ws *batchWS[K, V], c *cpu.Ctx, keys []K) {
+// prepDelete is Delete's round-free CPU prefix: semisort dedup and
+// probe-send construction.
+func (m *Map[K, V]) prepDelete(c *cpu.Ctx, keys []K) {
+	ws := m.ws
 	B := len(keys)
 	c.Tracker().Alloc(int64(2 * B))
 
-	m.markPhase(ws, c, trace.PhaseSemisort)
+	m.phase(c, trace.PhaseSemisort)
 	uniq, slot := m.dedupWS(ws, c, keys)
 	ws.found = grow(ws.found, len(uniq))
 
 	// Stage 1 send construction: mark leaves and towers.
-	m.markPhase(ws, c, trace.PhaseExecute)
+	m.phase(c, trace.PhaseExecute)
 	sends := grow(ws.sends[:0], len(uniq))
 	c.WorkFlat(int64(len(uniq)))
 	for i, k := range uniq {
@@ -194,7 +192,7 @@ func (m *Map[K, V]) prepDelete(ws *batchWS[K, V], c *cpu.Ctx, keys []K) {
 
 // execDelete is Delete's machine half: the marking rounds, CPU-side list
 // contraction, remote splices and frees, and the found/slot scatter into
-// out (length B). Runs on the Map's active workspace.
+// out (length B).
 func (m *Map[K, V]) execDelete(c *cpu.Ctx, B int, out []bool) {
 	ws := m.ws
 	slot := ws.prepSlot

@@ -90,22 +90,21 @@ func (m *Map[K, V]) GetInto(keys []K, dst []GetResult[V]) ([]GetResult[V], Batch
 	if B == 0 {
 		return out, m.endBatch(tr, c, 0, 0, 0)
 	}
-	m.prepGet(m.ws, c, keys)
+	m.prepGet(c, keys)
 	m.execGet(c, B, out)
 	return out, m.endBatch(tr, c, B, 0, 0)
 }
 
-// prepGet is Get's round-free CPU prefix on workspace ws: the semisort dedup
-// and the probe-send construction. It is a pure function of (keys, config,
-// hash) — it reads no structure or machine state and draws nothing from the
-// Map's RNG — which is what lets the pipeline run it while an earlier batch's
-// rounds are in flight (docs/PIPELINE.md). The caller's keys slice is not
-// retained (with NoDedup it is aliased by ws.prepUniq; see Pipeline docs).
-func (m *Map[K, V]) prepGet(ws *batchWS[K, V], c *cpu.Ctx, keys []K) {
+// prepGet is Get's round-free CPU prefix: the semisort dedup and the
+// probe-send construction. It reads no structure or machine state and draws
+// nothing from the Map's RNG. With NoDedup, ws.prepUniq aliases keys for the
+// rest of the batch.
+func (m *Map[K, V]) prepGet(c *cpu.Ctx, keys []K) {
+	ws := m.ws
 	c.Tracker().Alloc(int64(len(keys)))
-	m.markPhase(ws, c, trace.PhaseSemisort)
+	m.phase(c, trace.PhaseSemisort)
 	uniq, slot := m.dedupWS(ws, c, keys)
-	m.markPhase(ws, c, trace.PhaseExecute)
+	m.phase(c, trace.PhaseExecute)
 	ws.greplies = grow(ws.greplies, len(uniq))
 	sends := grow(ws.sends[:0], len(uniq))
 	c.WorkFlat(int64(len(uniq)))
@@ -122,7 +121,7 @@ func (m *Map[K, V]) prepGet(ws *batchWS[K, V], c *cpu.Ctx, keys []K) {
 }
 
 // execGet is Get's machine half: drive the probe rounds and scatter replies
-// into out (length B). Runs on the Map's active workspace.
+// into out (length B).
 func (m *Map[K, V]) execGet(c *cpu.Ctx, B int, out []GetResult[V]) {
 	ws := m.ws
 	slot := ws.prepSlot

@@ -487,17 +487,15 @@ func (sr *searchRun[K, V]) runPhase(idxs []int, record bool) {
 func (m *Map[K, V]) searchCore(c *cpu.Ctx, keys []K, mode searchMode,
 	insertHeights []int8, hintsOut []expandHint) (results []resultMsg[K, V], phases int, maxAcc int64) {
 
-	m.prepSearch(m.ws, c, keys)
+	m.prepSearch(c, keys)
 	return m.execSearch(c, len(keys), mode, insertHeights, hintsOut)
 }
 
-// prepSearch is the round-free CPU prefix of a batch search on workspace ws:
-// the key sort of §4.2 ("The keys in the batch are first sorted on the CPU
-// side"). sorted[j].pos = input position of the j-th smallest key. The sort
-// is a pure function of keys — parutil.SortWS seeds its own deterministic
-// RNG, reads no structure state, and draws nothing from the Map's RNG — so
-// the pipeline may run it while an earlier batch's rounds are in flight.
-func (m *Map[K, V]) prepSearch(ws *batchWS[K, V], c *cpu.Ctx, keys []K) {
+// prepSearch is the round-free CPU prefix of a batch search: the key sort
+// of §4.2 ("The keys in the batch are first sorted on the CPU side").
+// sorted[j].pos = input position of the j-th smallest key.
+func (m *Map[K, V]) prepSearch(c *cpu.Ctx, keys []K) {
+	ws := m.ws
 	B := len(keys)
 	ws.outRes = grow(ws.outRes, B)
 	if B == 0 {
@@ -505,20 +503,20 @@ func (m *Map[K, V]) prepSearch(ws *batchWS[K, V], c *cpu.Ctx, keys []K) {
 	}
 	c.Tracker().Alloc(int64(B))
 
-	m.markPhase(ws, c, trace.PhaseSort)
+	m.phase(c, trace.PhaseSort)
 	ws.sorted = grow(ws.sorted, B)
 	for i, k := range keys {
 		ws.sorted[i] = sortItem[K]{k: k, pos: int32(i)}
 	}
 	c.WorkFlat(int64(B))
 	parutil.SortWS(c, ws.par, ws.sorted, ws.sortLess)
-	m.markPhase(ws, c, trace.PhaseSearch)
+	m.phase(c, trace.PhaseSearch)
 }
 
 // execSearch is the machine half of a batch search: the pivot phases, waves,
-// and the unsort back to input order. Runs on the Map's active workspace,
-// whose ws.sorted was filled by prepSearch. Returns the raw results in input
-// order (workspace-owned, valid until the next batch).
+// and the unsort back to input order, over the ws.sorted that prepSearch
+// filled. Returns the raw results in input order (workspace-owned, valid
+// until the next batch).
 func (m *Map[K, V]) execSearch(c *cpu.Ctx, B int, mode searchMode,
 	insertHeights []int8, hintsOut []expandHint) (results []resultMsg[K, V], phases int, maxAcc int64) {
 

@@ -140,22 +140,6 @@ func (m *Map[K, V]) beginBatch(op string, n int) (*cpu.Tracker, *cpu.Ctx) {
 	if !m.inBatch.CompareAndSwap(false, true) {
 		panic(batchAbort{ErrConcurrentBatch})
 	}
-	m.beginMachine()
-	ws := m.ws
-	m.prepBegin(ws, op)
-	ws.deferred = false
-	if s := m.mach.TraceSink(); s != nil {
-		s.BatchStart(op, n)
-	}
-	return ws.tr, &ws.root
-}
-
-// beginMachine resets machine-side state for a new batch: a fresh transport
-// epoch, zeroed metrics and instrumentation, and recycled per-module scratch.
-// In the serial schedule beginBatch calls it inline; in the pipelined
-// schedule it runs on the executor at the hand-off point, after the previous
-// batch's endBatch (docs/PIPELINE.md).
-func (m *Map[K, V]) beginMachine() {
 	// New op epoch: the reliable transport (if a fault plan is installed)
 	// discards previous batches' dedup records and in-flight state.
 	m.mach.BeginEpoch()
@@ -165,91 +149,16 @@ func (m *Map[K, V]) beginMachine() {
 	for id := 0; id < m.cfg.P; id++ {
 		m.mach.Mod(pim.ModuleID(id)).State.scratch.reset()
 	}
-}
-
-// prepBegin readies workspace ws for a batch's CPU prefix: recycled arenas, a
-// reset tracker, and cleared deferred-phase state. It touches only ws — never
-// the machine or the single-flight gate — which is what lets the pipeline run
-// it on the submitter goroutine while the machine still belongs to an earlier
-// batch. deferred is left true; serial beginBatch clears it immediately.
-func (m *Map[K, V]) prepBegin(ws *batchWS[K, V], op string) (*cpu.Tracker, *cpu.Ctx) {
+	ws := m.ws
 	ws.resetArenas()
 	ws.tr.Reset()
 	ws.tr.RootInto(&ws.root)
 	ws.op = op
 	ws.ph.open = false
-	ws.deferred = true
-	ws.prepSpans = ws.prepSpans[:0]
-	ws.prepOpen = false
-	return ws.tr, &ws.root
-}
-
-// beginBatchPrepped is the executor half of a pipelined batch start: it takes
-// the single-flight gate, resets the machine (beginMachine), installs ws as
-// the Map's active workspace, and replays the trace phases the prep recorded
-// so the sink sees the exact serial event stream — BatchStart, the prep's
-// closed PhaseStart/PhaseEnd pairs, then the prep's final phase reopened as
-// the live phase. The reopened snapshot uses zero machine metrics, which is
-// exactly what the serial schedule records there: metrics were freshly reset
-// and the prep prefix is round-free. Returns the typed error instead of
-// panicking (the executor is not under a Try* recover boundary yet).
-func (m *Map[K, V]) beginBatchPrepped(ws *batchWS[K, V], n int) error {
-	if m.mach.Closed() {
-		return ErrClosed
-	}
-	if !m.inBatch.CompareAndSwap(false, true) {
-		return ErrConcurrentBatch
-	}
-	m.ws = ws
-	m.beginMachine()
 	if s := m.mach.TraceSink(); s != nil {
-		s.BatchStart(ws.op, n)
-		for _, sp := range ws.prepSpans {
-			s.PhaseStart(sp.Op, sp.Phase)
-			s.PhaseEnd(sp)
-		}
-		if ws.prepOpen {
-			ws.ph = phaseSnap{
-				open:  true,
-				ph:    ws.prepPh,
-				met:   pim.Metrics{},
-				work:  ws.prepWork,
-				depth: ws.prepDepth,
-			}
-			s.PhaseStart(ws.op, ws.prepPh)
-		}
+		s.BatchStart(op, n)
 	}
-	ws.deferred = false
-	return nil
-}
-
-// markPhase is the phase transition used by split (prep/exec) batch bodies.
-// On the serial schedule (ws.deferred false) it is exactly phase. During a
-// pipelined prep it must not touch the sink — the machine, and therefore the
-// event stream, still belongs to an earlier batch — so it closes the open
-// prep phase into ws.prepSpans (machine deltas are zero: the prefix runs no
-// rounds) and snapshots the CPU counters for the next one. beginBatchPrepped
-// replays the buffer at the hand-off.
-func (m *Map[K, V]) markPhase(ws *batchWS[K, V], c *cpu.Ctx, ph trace.Phase) {
-	if !ws.deferred {
-		m.phase(c, ph)
-		return
-	}
-	if m.mach.TraceSink() == nil {
-		return
-	}
-	if ws.prepOpen {
-		ws.prepSpans = append(ws.prepSpans, trace.Span{
-			Op:       ws.op,
-			Phase:    ws.prepPh,
-			CPUWork:  ws.tr.Work() - ws.prepWork,
-			CPUDepth: c.Depth() - ws.prepDepth,
-		})
-	}
-	ws.prepOpen = true
-	ws.prepPh = ph
-	ws.prepWork = ws.tr.Work()
-	ws.prepDepth = c.Depth()
+	return ws.tr, &ws.root
 }
 
 // endBatch assembles BatchStats after a batch completes.

@@ -232,22 +232,27 @@ func (m *Map[K, V]) UpsertInto(keys []K, vals []V, dst []bool) ([]bool, BatchSta
 	if B == 0 {
 		return inserted, m.endBatch(tr, c, 0, 0, 0)
 	}
-	m.prepUpsert(m.ws, c, keys, vals)
+	m.prepUpsert(c, keys, vals)
 	phases, maxAcc := m.execUpsert(c, B)
-	return m.scatterInserted(c, tr, inserted, m.ws.prepSlot, m.ws.found, B, phases, maxAcc)
+	// Map per-unique found flags back to input positions.
+	slot, found := m.ws.prepSlot, m.ws.found
+	c.WorkFlat(int64(B))
+	for i := 0; i < B; i++ {
+		inserted[i] = !found[slot[i]]
+	}
+	return inserted, m.endBatch(tr, c, B, int(phases), maxAcc)
 }
 
-// prepUpsert is Upsert's round-free CPU prefix on workspace ws: the semisort
-// dedup (last value wins) and the stage-0 probe-send construction. Like
-// prepGet it is a pure function of the batch arguments — tower heights (the
-// Map's RNG) are drawn on the exec side, after the probe rounds, exactly as
-// in the serial schedule.
-func (m *Map[K, V]) prepUpsert(ws *batchWS[K, V], c *cpu.Ctx, keys []K, vals []V) {
+// prepUpsert is Upsert's round-free CPU prefix: the semisort dedup (last
+// value wins) and the stage-0 probe-send construction. Tower heights (the
+// Map's RNG) are drawn on the exec side, after the probe rounds.
+func (m *Map[K, V]) prepUpsert(c *cpu.Ctx, keys []K, vals []V) {
+	ws := m.ws
 	B := len(keys)
 	c.Tracker().Alloc(int64(3 * B))
 
 	// Deduplicate (last value wins).
-	m.markPhase(ws, c, trace.PhaseSemisort)
+	m.phase(c, trace.PhaseSemisort)
 	uniq, slot := m.dedupWS(ws, c, keys)
 	ws.chosen = grow(ws.chosen, len(uniq))
 	chosen := ws.chosen
@@ -257,7 +262,7 @@ func (m *Map[K, V]) prepUpsert(ws *batchWS[K, V], c *cpu.Ctx, keys []K, vals []V
 	}
 
 	// Stage 0: try Update; collect misses.
-	m.markPhase(ws, c, trace.PhaseExecute)
+	m.phase(c, trace.PhaseExecute)
 	ws.found = grow(ws.found, len(uniq))
 	sends := grow(ws.sends[:0], len(uniq))
 	c.WorkFlat(int64(len(uniq)))
@@ -275,7 +280,7 @@ func (m *Map[K, V]) prepUpsert(ws *batchWS[K, V], c *cpu.Ctx, keys []K, vals []V
 
 // execUpsert is Upsert's machine half: drive the probe rounds, then build the
 // missing towers (stages 1a–3). Returns (pivot phases, max node access) for
-// the final stats. Runs on the Map's active workspace.
+// the final stats.
 func (m *Map[K, V]) execUpsert(c *cpu.Ctx, B int) (int64, int64) {
 	ws := m.ws
 	uniq := ws.prepUniq
@@ -438,19 +443,6 @@ func (m *Map[K, V]) execUpsert(c *cpu.Ctx, B int) (int64, int64) {
 func (m *Map[K, V]) UpsertOne(key K, val V) (bool, BatchStats) {
 	res, st := m.Upsert([]K{key}, []V{val})
 	return res[0], st
-}
-
-// scatterInserted maps per-unique found flags back to input positions.
-func (m *Map[K, V]) scatterInserted(c *cpu.Ctx, tr *cpu.Tracker, inserted []bool, slot []int32, found []bool, B int, extra ...int64) ([]bool, BatchStats) {
-	c.WorkFlat(int64(B))
-	for i := 0; i < B; i++ {
-		inserted[i] = !found[slot[i]]
-	}
-	phases, maxAcc := 0, int64(0)
-	if len(extra) == 2 {
-		phases, maxAcc = int(extra[0]), extra[1]
-	}
-	return inserted, m.endBatch(tr, c, B, phases, maxAcc)
 }
 
 // appendOwner appends the sends addressing the module(s) owning ptr: a

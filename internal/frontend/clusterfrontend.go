@@ -140,7 +140,10 @@ func NewClusterFrontend[K cmp.Ordered, V any](c *cluster.Cluster[K, V], cfg Clus
 // the frontend is open).
 func (f *ClusterFrontend[K, V]) Cluster() *cluster.Cluster[K, V] { return f.c }
 
-// Stats returns a snapshot of the collector and control-loop statistics.
+// Stats returns a snapshot of the collector and control-loop statistics. A
+// flush's counts land after its replies are delivered, so a client that has
+// just received a reply may not yet see its op counted; once Close has
+// returned, the snapshot is exact.
 func (f *ClusterFrontend[K, V]) Stats() ClusterStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()

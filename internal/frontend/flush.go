@@ -121,10 +121,6 @@ func (ws *flushWS[K, V]) partition(batch []*future[K, V], start time.Time, queue
 // yet answered, and — like core's unrecoverable-fault errors — writes of an
 // earlier sub-batch may already have been applied.
 func (f *Frontend[K, V]) flush(batch []*future[K, V]) {
-	if f.p != nil {
-		f.flushPipelined(batch)
-		return
-	}
 	start := time.Now()
 	ws := &f.ws
 	var queueWait, maxQueueWait time.Duration
@@ -163,7 +159,6 @@ func (f *Frontend[K, V]) flush(batch []*future[K, V]) {
 		ws.replay(i, ws.dres[x])
 	}
 
-	errs := 0
 	if len(ws.gkeys) > 0 {
 		res, _, err := f.m.TryGetInto(ws.gkeys, ws.gres)
 		if err != nil {
@@ -191,112 +186,6 @@ func (f *Frontend[K, V]) flush(batch []*future[K, V]) {
 			fu.found = res[i].Found
 			fu.rkey = res[i].Key
 			fu.rval = res[i].Value
-			fu.ready <- struct{}{}
-		}
-	}
-	f.finish(start, len(batch), submitted, errs, queueWait, maxQueueWait)
-}
-
-// flushPipelined is flush over a core.Pipeline (Config.Pipelined): all four
-// sub-batches are submitted up front, so each later sub-batch's CPU prep
-// (semisort, search sort, send construction) overlaps the earlier
-// sub-batches' PIM rounds. The pipeline executes strictly FIFO, so the
-// writes-before-reads linearization and every reply are bit-identical to
-// the serial flush.
-//
-// Error caveat (the one semantic difference, documented in
-// docs/FRONTEND.md): when a sub-batch fails, the later sub-batches of the
-// same flush were already in flight and may still execute against the Map
-// before the error is delivered — the serial flush stops submitting at the
-// first failure. Replies are unchanged (every not-yet-answered op of the
-// flush receives the error, and later sub-batches' results are discarded);
-// only the Map's post-error state can differ, which core's unrecoverable
-// errors already leave unspecified.
-func (f *Frontend[K, V]) flushPipelined(batch []*future[K, V]) {
-	start := time.Now()
-	ws := &f.ws
-	var queueWait, maxQueueWait time.Duration
-	submitted := ws.partition(batch, start, &queueWait, &maxQueueWait)
-
-	var utk, dtk, gtk, stk *core.PipeTicket[K, V]
-	if len(ws.ukeys) > 0 {
-		utk = f.p.SubmitUpsert(ws.ukeys, ws.uvals, ws.ures)
-	}
-	if len(ws.dkeys) > 0 {
-		dtk = f.p.SubmitDelete(ws.dkeys, ws.dres)
-	}
-	if len(ws.gkeys) > 0 {
-		gtk = f.p.SubmitGet(ws.gkeys, ws.gres)
-	}
-	if len(ws.skeys) > 0 {
-		stk = f.p.SubmitSuccessor(ws.skeys, ws.sres)
-	}
-
-	// Wait in submission order. Every submitted ticket is awaited even on
-	// error, so the pipeline's slots always cycle back.
-	var resU, resD, resG, resS core.PipeResult[K, V]
-	if utk != nil {
-		resU = utk.Wait()
-	}
-	if dtk != nil {
-		resD = dtk.Wait()
-	}
-	if gtk != nil {
-		resG = gtk.Wait()
-	}
-	if stk != nil {
-		resS = stk.Wait()
-	}
-
-	if resU.Err != nil {
-		deliverErr(batch, resU.Err)
-		f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-		return
-	}
-	if utk != nil {
-		ws.ures = resU.Bools
-	}
-	if resD.Err != nil {
-		deliverErr(batch, resD.Err)
-		f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-		return
-	}
-	if dtk != nil {
-		ws.dres = resD.Bools
-	}
-
-	for x, i := range ws.ufin {
-		ws.replay(i, !ws.ures[x])
-	}
-	for x, i := range ws.dfin {
-		ws.replay(i, ws.dres[x])
-	}
-
-	if resG.Err != nil {
-		deliverErr(ws.gfut, resG.Err)
-		deliverErr(ws.sfut, resG.Err)
-		f.finish(start, len(batch), submitted, len(ws.gfut)+len(ws.sfut), queueWait, maxQueueWait)
-		return
-	}
-	if gtk != nil {
-		ws.gres = resG.Gets
-		for i, fu := range ws.gfut {
-			fu.found = ws.gres[i].Found
-			fu.rval = ws.gres[i].Value
-			fu.ready <- struct{}{}
-		}
-	}
-	if resS.Err != nil {
-		deliverErr(ws.sfut, resS.Err)
-		f.finish(start, len(batch), submitted, len(ws.sfut), queueWait, maxQueueWait)
-		return
-	}
-	if stk != nil {
-		ws.sres = resS.Searches
-		for i, fu := range ws.sfut {
-			fu.found = ws.sres[i].Found
-			fu.rkey = ws.sres[i].Key
-			fu.rval = ws.sres[i].Value
 			fu.ready <- struct{}{}
 		}
 	}

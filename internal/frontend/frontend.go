@@ -66,12 +66,6 @@ type Config struct {
 	// form anyway, because ops arriving during a flush coalesce into the
 	// next one.
 	MaxWait time.Duration
-	// Pipelined drives the Map through a core.Pipeline: each flush submits
-	// its write and read sub-batches back-to-back, overlapping a later
-	// sub-batch's CPU prep with an earlier one's PIM rounds. Replies and
-	// coalescing semantics are unchanged (the pipeline executes FIFO); see
-	// the error caveat on flushPipelined and docs/PIPELINE.md.
-	Pipelined bool
 }
 
 func (c Config) withDefaults() Config {
@@ -150,8 +144,7 @@ type Frontend[K cmp.Ordered, V any] struct {
 
 	stats Stats // guarded by intake.mu
 
-	ws flushWS[K, V]        // collector-owned scratch
-	p  *core.Pipeline[K, V] // non-nil iff Config.Pipelined
+	ws flushWS[K, V] // collector-owned scratch
 }
 
 // New starts a collector over m. The frontend takes over as the Map's sole
@@ -162,9 +155,6 @@ func New[K cmp.Ordered, V any](m *core.Map[K, V], cfg Config) *Frontend[K, V] {
 	f := &Frontend[K, V]{m: m, cfg: cfg}
 	f.intake.init(cfg.MaxBatch)
 	f.ws.init()
-	if cfg.Pipelined {
-		f.p = core.NewPipeline(m)
-	}
 	go f.run()
 	return f
 }
@@ -173,7 +163,10 @@ func New[K cmp.Ordered, V any](m *core.Map[K, V], cfg Config) *Frontend[K, V] {
 // trace sinks; do not run batches on it while the frontend is open).
 func (f *Frontend[K, V]) Map() *core.Map[K, V] { return f.m }
 
-// Stats returns a snapshot of the collector statistics.
+// Stats returns a snapshot of the collector statistics. A flush's counts
+// land after its replies are delivered, so a client that has just received
+// a reply may not yet see its op counted; once Close has returned, the
+// snapshot is exact.
 func (f *Frontend[K, V]) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -194,18 +187,10 @@ func (f *Frontend[K, V]) Close() error {
 	f.mu.Unlock()
 	if already {
 		<-f.done
-		if f.p != nil {
-			f.p.Close() // idempotent; racing closers are safe
-		}
 		return core.ErrClosed
 	}
 	f.wake()
 	<-f.done
-	if f.p != nil {
-		// The collector has drained; closing the pipeline hands the Map's
-		// workspace back for serial use.
-		f.p.Close()
-	}
 	return nil
 }
 

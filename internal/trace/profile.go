@@ -208,10 +208,6 @@ type Profile struct {
 	// only when the profile observes a Map driven through internal/frontend.
 	collector CollectorTotals
 
-	// pipeline aggregates pipeline scheduling events (pipeline.go); populated
-	// only when the profile observes a Map driven through core.Pipeline.
-	pipeline PipelineTotals
-
 	// migration aggregates cluster rebalancing events (migration.go);
 	// populated only when the profile observes a cluster shard that takes
 	// part in a split/merge migration.
