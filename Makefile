@@ -92,7 +92,8 @@ clusterfrontend:
 # Documentation gate: every intra-repo markdown link resolves, every
 # `pimbench <cmd>` in the docs is a real command (validated against
 # `pimbench -list`), every `pimgo.*` reference is a real facade export
-# (CHANGES.md, ROADMAP.md and ISSUE.md are exempt from these two),
+# (root-level history and plan files such as CHANGES.md and ROADMAP.md
+# are exempt from these two),
 # every cited results/BENCH_*.json is checked in, every exported facade
 # identifier has a doc comment, and all sources are gofmt-clean.
 docs:

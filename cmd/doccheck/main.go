@@ -15,7 +15,7 @@
 //     never recorded.
 //
 // Checks 2 and 4 cover only docs that describe the current system. The
-// root-level history and plan files (see planDocs) name removed and future
+// root-level history and plan files (see isPlanDoc) name removed and future
 // commands and symbols by design, so they are exempt; links and cited
 // benchmark files are still checked everywhere.
 //
@@ -53,10 +53,11 @@ var (
 	// Recorded benchmark ladders the docs cite.
 	benchRe = regexp.MustCompile(`results/BENCH_[A-Za-z0-9_]+\.json`)
 
-	// planDocs are the root-level files that record history (CHANGES.md)
-	// or plans (ROADMAP.md, ISSUE.md); they are exempt from the command and
-	// API reference checks.
-	planDocs = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+	// refDocs are the root-level upper-case files that describe the current
+	// system. Every other root-level upper-case file (history such as
+	// CHANGES.md, plans such as ROADMAP.md, paper and related-work notes) is
+	// a plan doc, exempt from the command and API reference checks.
+	refDocs = map[string]bool{"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true}
 )
 
 func main() {
@@ -114,11 +115,19 @@ func loadCommands(path string) map[string]bool {
 	return valid
 }
 
+// isPlanDoc reports whether path is a root-level upper-case markdown file
+// that is not one of the refDocs.
+func isPlanDoc(root, path string) bool {
+	name := filepath.Base(path)
+	return filepath.Dir(path) == filepath.Clean(root) && !refDocs[name] &&
+		name == strings.ToUpper(strings.TrimSuffix(name, ".md"))+".md"
+}
+
 // checkMarkdown walks *.md files under root, validating intra-repo links,
 // (when valid is non-nil) pimbench command references, (when exported is
 // non-nil) pimgo.* API references, and that every cited results/BENCH_*.json
 // ladder exists in the repository. Command and API references are not
-// checked in planDocs.
+// checked in plan docs (see isPlanDoc).
 func checkMarkdown(root string, valid, exported map[string]bool, report func(string, ...any)) {
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -160,7 +169,7 @@ func checkMarkdown(root string, valid, exported map[string]bool, report func(str
 			}
 		}
 
-		if planDocs[d.Name()] && filepath.Dir(path) == filepath.Clean(root) {
+		if isPlanDoc(root, path) {
 			return nil
 		}
 

@@ -66,8 +66,8 @@ func TestCheckMarkdown(t *testing.T) {
 }
 
 // TestCheckMarkdownPlanDocs: a stale command or API name in a root-level
-// history or plan file passes, while the same names in docs/ fail. Links
-// are checked in every file.
+// history or plan file passes, while the same names in docs/ or in a
+// root-level reference doc fail. Links are checked in every file.
 func TestCheckMarkdownPlanDocs(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "docs"), 0o755); err != nil {
@@ -77,7 +77,8 @@ func TestCheckMarkdownPlanDocs(t *testing.T) {
 	for name, body := range map[string]string{
 		"CHANGES.md":                      stale + "[old](missing.md)\n",
 		"ROADMAP.md":                      stale,
-		"ISSUE.md":                        stale,
+		"NOTES.md":                        stale,
+		"README.md":                       stale,
 		filepath.Join("docs", "GUIDE.md"): stale,
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
@@ -88,10 +89,10 @@ func TestCheckMarkdownPlanDocs(t *testing.T) {
 	report, got := collect()
 	checkMarkdown(dir, map[string]bool{"trace": true}, map[string]bool{"Frontend": true}, report)
 
-	if len(*got) != 3 {
-		t.Fatalf("got %d problems, want 3: %v", len(*got), *got)
+	if len(*got) != 5 {
+		t.Fatalf("got %d problems, want 5: %v", len(*got), *got)
 	}
-	var cmd, sym, link bool
+	var cmd, sym, link, ref bool
 	for _, p := range *got {
 		switch {
 		case strings.Contains(p, "GUIDE.md") && strings.Contains(p, "unknown pimbench command"):
@@ -100,10 +101,12 @@ func TestCheckMarkdownPlanDocs(t *testing.T) {
 			sym = true
 		case strings.Contains(p, "CHANGES.md") && strings.Contains(p, "broken link"):
 			link = true
+		case strings.Contains(p, "README.md"):
+			ref = true
 		}
 	}
-	if !cmd || !sym || !link {
-		t.Fatalf("want docs/ command and API problems plus the CHANGES.md link, got %v", *got)
+	if !cmd || !sym || !link || !ref {
+		t.Fatalf("want docs/ and README.md command and API problems plus the CHANGES.md link, got %v", *got)
 	}
 }
 
