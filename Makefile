@@ -55,10 +55,13 @@ chaos:
 	$(GO) run ./cmd/pimbench chaos -out results/BENCH_chaos.json
 
 # Concurrent batching frontend verification: the oracle and chaos-soak
-# equivalence tests (plus -race), then the client-ladder record.
+# equivalence tests (plus -race), a race stress of the collector's ordering
+# (flush events vs Stats, dwell, drain on Close) over both executors and
+# several GOMAXPROCS, then the client-ladder record.
 frontend:
 	$(GO) test -run 'TestFrontend' -count=1 ./internal/frontend/
 	$(GO) test -race -run 'TestFrontend' -count=1 ./internal/frontend/
+	$(GO) test -race -cpu 1,2,4 -count 20 -run 'FlushTrace|Dwell|Close' ./internal/frontend/
 	$(GO) run ./cmd/pimbench frontend -out results/BENCH_frontend.json
 
 # Sharded-cluster verification: the cluster-wide chaos soak (every fault

@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"cmp"
-	"runtime"
 	"time"
 
 	"pimgo/internal/cluster"
@@ -98,36 +97,24 @@ type ClusterStats struct {
 // presence is unknowable); ops on healthy shards are unaffected. Successor
 // broadcasts are all-or-nothing, as in cluster.TrySuccessor.
 type ClusterFrontend[K cmp.Ordered, V any] struct {
-	intake[K, V]
+	collector[K, V]
 
 	c   *cluster.Cluster[K, V]
 	cfg ClusterConfig
 
-	stats ClusterStats // guarded by intake.mu
-
-	// Rebalance hand-off: the sampler publishes the newest unconsumed
-	// DeltaLoads window; the collector consumes it between flushes. Guarded
-	// by intake.mu.
-	window    []cluster.ShardLoad
-	windowSeq int64
-
-	stop        chan struct{} // closes to stop the sampler
 	samplerDone chan struct{} // closed when the sampler exits; nil if no loop
-
-	ws flushWS[K, V] // collector-owned scratch
 }
 
 // NewClusterFrontend starts a collector (and, if cfg.RebalanceEvery > 0, a
 // load sampler) over c. The frontend takes over as the cluster's sole
 // driver; use Close to stop it (the cluster itself is left open — closing
-// it remains the caller's responsibility).
+// it remains the caller's responsibility). Flush events go to cfg.Trace.
 func NewClusterFrontend[K cmp.Ordered, V any](c *cluster.Cluster[K, V], cfg ClusterConfig) *ClusterFrontend[K, V] {
 	cfg = cfg.withDefaults()
 	f := &ClusterFrontend[K, V]{c: c, cfg: cfg}
-	f.intake.init(cfg.MaxBatch)
-	f.ws.init()
+	f.init(clusterExec[K, V]{c}, cfg.MaxBatch, cfg.MaxWait, func() trace.Sink { return cfg.Trace })
 	if cfg.RebalanceEvery > 0 {
-		f.stop = make(chan struct{})
+		f.rebalance = f.runRebalance
 		f.samplerDone = make(chan struct{})
 		go f.sampler()
 	}
@@ -159,22 +146,11 @@ func (f *ClusterFrontend[K, V]) Stats() ClusterStats {
 // exactly one caller returns nil, every other call returns core.ErrClosed
 // after the collector has fully drained. The underlying cluster stays open.
 func (f *ClusterFrontend[K, V]) Close() error {
-	f.mu.Lock()
-	already := f.closed
-	f.closed = true
-	f.mu.Unlock()
-	if !already && f.stop != nil {
-		close(f.stop)
-	}
+	err := f.close()
 	if f.samplerDone != nil {
 		<-f.samplerDone
 	}
-	f.wake()
-	<-f.done
-	if already {
-		return core.ErrClosed
-	}
-	return nil
+	return err
 }
 
 // sampler is the load-sampling goroutine: every RebalanceEvery it turns two
@@ -182,7 +158,7 @@ func (f *ClusterFrontend[K, V]) Close() error {
 // it for the collector. Only the newest unconsumed window is kept — if the
 // collector is busy flushing (or migrating) across several ticks, stale
 // windows are superseded, not queued: the policy should always judge the
-// cluster by its most recent behaviour.
+// cluster by its most recent behaviour. It stops once Close has begun.
 func (f *ClusterFrontend[K, V]) sampler() {
 	defer close(f.samplerDone)
 	tick := time.NewTicker(f.cfg.RebalanceEvery)
@@ -190,7 +166,7 @@ func (f *ClusterFrontend[K, V]) sampler() {
 	prev := f.c.Loads()
 	for {
 		select {
-		case <-f.stop:
+		case <-f.done:
 			return
 		case <-tick.C:
 		}
@@ -208,99 +184,6 @@ func (f *ClusterFrontend[K, V]) sampler() {
 		f.window = w
 		f.mu.Unlock()
 		f.wake()
-	}
-}
-
-// run is the collector goroutine: wait for ops or a load window, gather and
-// optionally dwell exactly as the single-Map collector does, flush in
-// MaxBatch chunks, then — with the cluster idle between flushes — consume
-// the pending window, if any, through the rebalance policy.
-func (f *ClusterFrontend[K, V]) run() {
-	defer close(f.done)
-	var tmr *time.Timer
-	for {
-		f.mu.Lock()
-		for {
-			if len(f.pending) > 0 {
-				break // drain even while closing
-			}
-			if f.closed {
-				f.mu.Unlock()
-				return // drops an unconsumed window, by design
-			}
-			if f.window != nil {
-				break
-			}
-			f.mu.Unlock()
-			<-f.notify
-			f.mu.Lock()
-		}
-		// Gather: yield to runnable clients until the forming batch stops
-		// growing or fills (see Frontend.run for the rationale).
-		for {
-			n := len(f.pending)
-			if n >= f.cfg.MaxBatch || f.closed {
-				break
-			}
-			f.mu.Unlock()
-			runtime.Gosched()
-			f.mu.Lock()
-			if len(f.pending) == n {
-				break
-			}
-		}
-		if f.cfg.MaxWait > 0 && len(f.pending) > 0 {
-			deadline := f.pending[0].enq.Add(f.cfg.MaxWait)
-			for len(f.pending) < f.cfg.MaxBatch && !f.closed {
-				d := time.Until(deadline)
-				if d <= 0 {
-					break
-				}
-				f.mu.Unlock()
-				if tmr == nil {
-					tmr = time.NewTimer(d)
-				} else {
-					tmr.Reset(d)
-				}
-				expired := false
-				select {
-				case <-f.notify:
-					if !tmr.Stop() {
-						<-tmr.C
-					}
-				case <-tmr.C:
-					expired = true
-				}
-				f.mu.Lock()
-				if expired {
-					break
-				}
-			}
-		}
-		batch := f.pending
-		f.pending = f.spare
-		f.spare = nil
-		w, seq := f.window, f.windowSeq
-		f.window = nil
-		closing := f.closed
-		f.mu.Unlock()
-
-		for off := 0; off < len(batch); off += f.cfg.MaxBatch {
-			end := off + f.cfg.MaxBatch
-			if end > len(batch) {
-				end = len(batch)
-			}
-			f.flush(batch[off:end])
-		}
-
-		clear(batch) // drop future refs before parking the buffer
-		f.mu.Lock()
-		f.spare = batch[:0]
-		f.mu.Unlock()
-
-		if w != nil && !closing {
-			f.runRebalance(w, seq)
-		}
 	}
 }
 
@@ -350,162 +233,27 @@ func (f *ClusterFrontend[K, V]) runRebalance(w []cluster.ShardLoad, seq int64) {
 	}
 }
 
-// flushPending drains whatever ops queued since the last flush — one swap,
-// not a loop, so sustained traffic cannot livelock a migration phase. It
-// runs on the collector goroutine between that goroutine's own flushes, so
-// reusing the flush workspace is safe.
-func (f *ClusterFrontend[K, V]) flushPending() {
-	f.mu.Lock()
-	if len(f.pending) == 0 {
-		f.mu.Unlock()
-		return
-	}
-	batch := f.pending
-	f.pending = f.spare
-	f.spare = nil
-	f.mu.Unlock()
+// clusterExec is the cluster executor: the cluster's Try* calls with their
+// stats dropped. Point ops fail per key on a down shard; Successor
+// broadcasts fail all keys or none.
+type clusterExec[K cmp.Ordered, V any] struct{ c *cluster.Cluster[K, V] }
 
-	for off := 0; off < len(batch); off += f.cfg.MaxBatch {
-		end := off + f.cfg.MaxBatch
-		if end > len(batch) {
-			end = len(batch)
-		}
-		f.flush(batch[off:end])
-	}
-
-	clear(batch)
-	f.mu.Lock()
-	f.spare = batch[:0]
-	f.mu.Unlock()
+func (x clusterExec[K, V]) upsert(keys []K, vals []V) ([]bool, []error, error) {
+	res, errs, _, err := x.c.TryUpsert(keys, vals)
+	return res, errs, err
 }
 
-// flush executes one coalesced batch against the cluster. The linearization
-// contract is identical to the single-Map flush — writes before reads, last
-// writer wins, exact replies — with the scatter/gather supplying the
-// cross-shard barrier: TryUpsert and TryDelete each gather every shard's
-// ack before returning, so by the time the read sub-batches (and in
-// particular the Successor broadcast, which consults all shards) are
-// submitted, every write of the flush is visible on every shard.
-//
-// Error semantics are per key where the cluster's are (point ops on a down
-// shard fail with that shard's error; a superseded write chain whose final
-// write landed on a down shard fails whole, since the key's presence is
-// unknowable) and per flush where they are not (gate errors, Successor
-// broadcasts).
-func (f *ClusterFrontend[K, V]) flush(batch []*future[K, V]) {
-	start := time.Now()
-	ws := &f.ws
-	var queueWait, maxQueueWait time.Duration
-	submitted := ws.partition(batch, start, &queueWait, &maxQueueWait)
-	errs := 0
-
-	// Writes first. A whole-batch error (ErrClosed, gate) predates any
-	// shard work: no op of the flush was applied, every op gets the error.
-	var uerrs, derrs []error
-	if len(ws.ukeys) > 0 {
-		res, perKey, _, err := f.c.TryUpsert(ws.ukeys, ws.uvals)
-		if err != nil {
-			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-			return
-		}
-		ws.ures, uerrs = res, perKey
-	}
-	if len(ws.dkeys) > 0 {
-		res, perKey, _, err := f.c.TryDelete(ws.dkeys)
-		if err != nil {
-			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
-			return
-		}
-		ws.dres, derrs = res, perKey
-	}
-
-	// Replay each key's op chain against the presence bit its final write
-	// learned — unless that write landed on a down shard, in which case the
-	// bit is unknowable and the whole chain fails with the shard's error.
-	for x, i := range ws.ufin {
-		if uerrs != nil && uerrs[x] != nil {
-			errs += ws.failChain(i, uerrs[x])
-		} else {
-			ws.replay(i, !ws.ures[x])
-		}
-	}
-	for x, i := range ws.dfin {
-		if derrs != nil && derrs[x] != nil {
-			errs += ws.failChain(i, derrs[x])
-		} else {
-			ws.replay(i, ws.dres[x])
-		}
-	}
-
-	if len(ws.gkeys) > 0 {
-		res, perKey, _, err := f.c.TryGet(ws.gkeys)
-		if err != nil {
-			deliverErr(ws.gfut, err)
-			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, errs+len(ws.gfut)+len(ws.sfut), queueWait, maxQueueWait)
-			return
-		}
-		for i, fu := range ws.gfut {
-			if perKey != nil && perKey[i] != nil {
-				fu.err = perKey[i]
-				errs++
-			} else {
-				fu.found = res[i].Found
-				fu.rval = res[i].Value
-			}
-			fu.ready <- struct{}{}
-		}
-	}
-	if len(ws.skeys) > 0 {
-		res, perKey, _, err := f.c.TrySuccessor(ws.skeys)
-		if err != nil {
-			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, errs+len(ws.sfut), queueWait, maxQueueWait)
-			return
-		}
-		for i, fu := range ws.sfut {
-			if perKey != nil && perKey[i] != nil { // all-or-nothing broadcast
-				fu.err = perKey[i]
-				errs++
-			} else {
-				fu.found = res[i].Found
-				fu.rkey = res[i].Key
-				fu.rval = res[i].Value
-			}
-			fu.ready <- struct{}{}
-		}
-	}
-	f.finish(start, len(batch), submitted, errs, queueWait, maxQueueWait)
+func (x clusterExec[K, V]) delete(keys []K) ([]bool, []error, error) {
+	res, errs, _, err := x.c.TryDelete(keys)
+	return res, errs, err
 }
 
-// finish records the flush in the collector stats and emits a FlushStat to
-// the frontend's trace sink if it implements trace.FlushSink.
-func (f *ClusterFrontend[K, V]) finish(start time.Time, ops, submitted, errCount int, queueWait, maxQueueWait time.Duration) {
-	flushTime := time.Since(start)
-	if sink, ok := f.cfg.Trace.(trace.FlushSink); ok {
-		sink.Flush(trace.FlushStat{
-			Ops:          ops,
-			Submitted:    submitted,
-			QueueWait:    queueWait,
-			MaxQueueWait: maxQueueWait,
-			FlushTime:    flushTime,
-		})
-	}
-	f.mu.Lock()
-	st := &f.stats
-	st.Ops += int64(ops)
-	st.Flushes++
-	st.Submitted += int64(submitted)
-	if ops > st.MaxFlush {
-		st.MaxFlush = ops
-	}
-	st.QueueWait += queueWait
-	if maxQueueWait > st.MaxQueueWait {
-		st.MaxQueueWait = maxQueueWait
-	}
-	st.FlushTime += flushTime
-	st.Errors += int64(errCount)
-	f.mu.Unlock()
+func (x clusterExec[K, V]) get(keys []K) ([]core.GetResult[V], []error, error) {
+	res, errs, _, err := x.c.TryGet(keys)
+	return res, errs, err
+}
+
+func (x clusterExec[K, V]) successor(keys []K) ([]core.SearchResult[K, V], []error, error) {
+	res, errs, _, err := x.c.TrySuccessor(keys)
+	return res, errs, err
 }

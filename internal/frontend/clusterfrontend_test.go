@@ -310,6 +310,30 @@ func TestClusterFrontendRebalanceLoop(t *testing.T) {
 	}
 }
 
+// TestClusterFrontendDwellWithRebalanceLoop: with MaxWait and
+// RebalanceEvery both set, sampler windows wake the collector many times
+// during one dwell. A lone op must still complete, no earlier than its
+// dwell, and the windows must still reach the control loop.
+func TestClusterFrontendDwellWithRebalanceLoop(t *testing.T) {
+	c := newTestCluster(t, 2)
+	const dwell = 20 * time.Millisecond
+	f := NewClusterFrontend(c, ClusterConfig{
+		MaxWait:        dwell,
+		RebalanceEvery: 500 * time.Microsecond,
+	})
+	start := time.Now()
+	loneOpCompletes(t, f)
+	if el := time.Since(start); el < dwell {
+		t.Errorf("lone op completed after %v, before its %v dwell", el, dwell)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := f.Stats(); st.Windows == 0 {
+		t.Fatalf("control loop never consumed a window: %+v", st)
+	}
+}
+
 // TestClusterFrontendFlushTrace: a Profile installed as the frontend's
 // sink receives FlushStat events whose totals agree with the collector's
 // own Stats.
@@ -326,8 +350,10 @@ func TestClusterFrontendFlushTrace(t *testing.T) {
 		}(cl)
 	}
 	wg.Wait()
-	st := f.Stats()
+	// A flush's counts land after its replies; Close drains the collector,
+	// after which Stats is exact.
 	f.Close()
+	st := f.Stats()
 	col := prof.Collector()
 	if col.Flushes != st.Flushes || col.Ops != st.Ops || col.Submitted != st.Submitted {
 		t.Fatalf("profile collector %+v disagrees with frontend stats %+v", col, st)

@@ -3,9 +3,6 @@ package frontend
 import (
 	"cmp"
 	"time"
-
-	"pimgo/internal/core"
-	"pimgo/internal/trace"
 )
 
 // flushWS is the collector-owned scratch for one flush. Every slice and the
@@ -21,23 +18,20 @@ type flushWS[K cmp.Ordered, V any] struct {
 	wprev []int32
 	chain []int32
 
-	// Final writes submitted to the Map: the coalesced Upsert batch, the
-	// coalesced Delete batch, and for each its wfut index (to seed replay).
+	// Final writes submitted to the executor: the coalesced Upsert batch,
+	// the coalesced Delete batch, and for each its wfut index (to seed
+	// replay).
 	ukeys []K
 	uvals []V
 	ufin  []int32
-	ures  []bool
 	dkeys []K
 	dfin  []int32
-	dres  []bool
 
 	// Reads, demultiplexed positionally.
 	gkeys []K
 	gfut  []*future[K, V]
-	gres  []core.GetResult[V]
 	skeys []K
 	sfut  []*future[K, V]
-	sres  []core.SearchResult[K, V]
 }
 
 func (ws *flushWS[K, V]) init() { ws.widx = make(map[K]int32) }
@@ -65,9 +59,7 @@ func (ws *flushWS[K, V]) reset() {
 // partition sorts the batch into the workspace's per-kind sub-batches,
 // coalescing conflicting writes per key (last writer wins), and accumulates
 // the queue-wait statistics. It returns the number of ops that will reach
-// the backing store. Shared by the single-Map Frontend and the
-// ClusterFrontend — the coalescing semantics are identical; only what the
-// sub-batches are submitted to differs.
+// the executor.
 func (ws *flushWS[K, V]) partition(batch []*future[K, V], start time.Time, queueWait, maxQueueWait *time.Duration) (submitted int) {
 	ws.reset()
 	for _, fu := range batch {
@@ -114,82 +106,103 @@ func (ws *flushWS[K, V]) partition(batch []*future[K, V], start time.Time, queue
 	return len(ws.ukeys) + len(ws.dkeys) + len(ws.gkeys) + len(ws.skeys)
 }
 
-// flush executes one coalesced batch: sort ops by kind, coalesce conflicting
-// writes per key (last writer wins), run writes then reads through the Map,
-// and reply to every future. Error semantics mirror the core batch engine:
-// if a sub-batch fails, the error is delivered to every op of the flush not
-// yet answered, and — like core's unrecoverable-fault errors — writes of an
-// earlier sub-batch may already have been applied.
-func (f *Frontend[K, V]) flush(batch []*future[K, V]) {
+// flush executes one coalesced batch: sort ops by kind, coalesce
+// conflicting writes per key (last writer wins), run writes then reads
+// through the executor, and reply to every future. Writes before reads is
+// the flush's linearization: every write is applied — on a cluster, acked
+// by every shard — before any read, in particular the Successor broadcast,
+// is submitted.
+//
+// Errors follow the executor. A whole-batch error on a write sub-batch
+// fails every op of the flush; on a read sub-batch it fails that and every
+// later read. As with core's unrecoverable-fault errors, writes of an
+// earlier sub-batch may already have been applied. A per-key error fails
+// that key's op, and a final write's error fails its key's whole write
+// chain, since the key's presence is unknowable.
+func (c *collector[K, V]) flush(batch []*future[K, V]) {
 	start := time.Now()
-	ws := &f.ws
+	ws := &c.ws
 	var queueWait, maxQueueWait time.Duration
 	submitted := ws.partition(batch, start, &queueWait, &maxQueueWait)
+	errs := 0
 
-	// Writes before reads: the flush's linearization applies every write,
-	// then evaluates every read against the post-write state.
+	var ures, dres []bool
+	var uerrs, derrs []error
+	var err error
 	if len(ws.ukeys) > 0 {
-		res, _, err := f.m.TryUpsertInto(ws.ukeys, ws.uvals, ws.ures)
-		if err != nil {
+		if ures, uerrs, err = c.ex.upsert(ws.ukeys, ws.uvals); err != nil {
 			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
+			c.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
 			return
 		}
-		ws.ures = res
 	}
 	if len(ws.dkeys) > 0 {
-		res, _, err := f.m.TryDeleteInto(ws.dkeys, ws.dres)
-		if err != nil {
+		if dres, derrs, err = c.ex.delete(ws.dkeys); err != nil {
 			deliverErr(batch, err)
-			f.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
+			c.finish(start, len(batch), submitted, len(batch), queueWait, maxQueueWait)
 			return
 		}
-		ws.dres = res
 	}
 
-	// The Map's reply to a final write tells us the key's presence at the
-	// start of the flush (upsert: inserted ⇒ absent; delete: found ⇒
-	// present). Replaying the key's op chain against that bit yields the
-	// exact reply every op — superseded or final — would have received had
-	// it run as its own batch.
+	// The reply to a final write tells us the key's presence at the start
+	// of the flush (upsert: inserted ⇒ absent; delete: found ⇒ present).
+	// Replaying the key's op chain against that bit yields the exact reply
+	// every op — superseded or final — would have received had it run as
+	// its own batch.
 	for x, i := range ws.ufin {
-		ws.replay(i, !ws.ures[x])
+		if uerrs != nil && uerrs[x] != nil {
+			errs += ws.failChain(i, uerrs[x])
+		} else {
+			ws.replay(i, !ures[x])
+		}
 	}
 	for x, i := range ws.dfin {
-		ws.replay(i, ws.dres[x])
+		if derrs != nil && derrs[x] != nil {
+			errs += ws.failChain(i, derrs[x])
+		} else {
+			ws.replay(i, dres[x])
+		}
 	}
 
 	if len(ws.gkeys) > 0 {
-		res, _, err := f.m.TryGetInto(ws.gkeys, ws.gres)
+		res, perKey, err := c.ex.get(ws.gkeys)
 		if err != nil {
 			deliverErr(ws.gfut, err)
 			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, len(ws.gfut)+len(ws.sfut), queueWait, maxQueueWait)
+			c.finish(start, len(batch), submitted, errs+len(ws.gfut)+len(ws.sfut), queueWait, maxQueueWait)
 			return
 		}
-		ws.gres = res
 		for i, fu := range ws.gfut {
-			fu.found = res[i].Found
-			fu.rval = res[i].Value
+			if perKey != nil && perKey[i] != nil {
+				fu.err = perKey[i]
+				errs++
+			} else {
+				fu.found = res[i].Found
+				fu.rval = res[i].Value
+			}
 			fu.ready <- struct{}{}
 		}
 	}
 	if len(ws.skeys) > 0 {
-		res, _, err := f.m.TrySuccessorInto(ws.skeys, ws.sres)
+		res, perKey, err := c.ex.successor(ws.skeys)
 		if err != nil {
 			deliverErr(ws.sfut, err)
-			f.finish(start, len(batch), submitted, len(ws.sfut), queueWait, maxQueueWait)
+			c.finish(start, len(batch), submitted, errs+len(ws.sfut), queueWait, maxQueueWait)
 			return
 		}
-		ws.sres = res
 		for i, fu := range ws.sfut {
-			fu.found = res[i].Found
-			fu.rkey = res[i].Key
-			fu.rval = res[i].Value
+			if perKey != nil && perKey[i] != nil {
+				fu.err = perKey[i]
+				errs++
+			} else {
+				fu.found = res[i].Found
+				fu.rkey = res[i].Key
+				fu.rval = res[i].Value
+			}
 			fu.ready <- struct{}{}
 		}
 	}
-	f.finish(start, len(batch), submitted, 0, queueWait, maxQueueWait)
+	c.finish(start, len(batch), submitted, errs, queueWait, maxQueueWait)
 }
 
 // replay walks one key's write chain (ending at wfut index last) in arrival
@@ -214,9 +227,10 @@ func (ws *flushWS[K, V]) replay(last int32, present bool) {
 }
 
 // failChain answers every write future in one key's chain (ending at wfut
-// index last) with err, returning the number answered. The ClusterFrontend
-// uses it when a final write lands on a down shard: the key's presence is
-// unknowable, so no op in the chain can be replayed.
+// index last) with err, returning the number answered. flush uses it when
+// the executor fails a final write on its own (a cluster key on a down
+// shard): the key's presence is unknowable, so no op in the chain can be
+// replayed.
 func (ws *flushWS[K, V]) failChain(last int32, err error) int {
 	n := 0
 	for j := last; j >= 0; j = ws.wprev[j] {
@@ -234,34 +248,4 @@ func deliverErr[K cmp.Ordered, V any](futs []*future[K, V], err error) {
 		fu.err = err
 		fu.ready <- struct{}{}
 	}
-}
-
-// finish records the flush in the collector stats and emits a FlushStat to
-// the Map's trace sink if it implements trace.FlushSink.
-func (f *Frontend[K, V]) finish(start time.Time, ops, submitted, errs int, queueWait, maxQueueWait time.Duration) {
-	flushTime := time.Since(start)
-	if sink, ok := f.m.TraceSink().(trace.FlushSink); ok {
-		sink.Flush(trace.FlushStat{
-			Ops:          ops,
-			Submitted:    submitted,
-			QueueWait:    queueWait,
-			MaxQueueWait: maxQueueWait,
-			FlushTime:    flushTime,
-		})
-	}
-	f.mu.Lock()
-	st := &f.stats
-	st.Ops += int64(ops)
-	st.Flushes++
-	st.Submitted += int64(submitted)
-	if ops > st.MaxFlush {
-		st.MaxFlush = ops
-	}
-	st.QueueWait += queueWait
-	if maxQueueWait > st.MaxQueueWait {
-		st.MaxQueueWait = maxQueueWait
-	}
-	st.FlushTime += flushTime
-	st.Errors += int64(errs)
-	f.mu.Unlock()
 }

@@ -10,10 +10,12 @@
 // and demultiplexes the replies back to the waiting callers through pooled
 // futures. In steady state the enqueue/reply path allocates nothing.
 //
-// Two frontends share the machinery: Frontend drives one core.Map, and
-// ClusterFrontend (clusterfrontend.go) drives an elastic cluster.Cluster —
-// same coalescing semantics, per-shard sub-batches via the cluster's
-// scatter/gather, plus a background rebalance control loop.
+// There is one collector (collector.go, flush.go), written over a small
+// executor interface with four batch calls. Frontend runs it on one
+// core.Map; ClusterFrontend (clusterfrontend.go) runs it on an elastic
+// cluster.Cluster, whose scatter/gather splits each call into per-shard
+// sub-batches, and adds a background rebalance control loop. The two
+// differ only in the executor, in where flush events go, and in that loop.
 //
 // # Coalescing semantics
 //
@@ -47,7 +49,6 @@ package frontend
 
 import (
 	"cmp"
-	"runtime"
 	"time"
 
 	"pimgo/internal/core"
@@ -137,24 +138,19 @@ type Stats struct {
 // batch calls on the same Map while the frontend is open race with the
 // collector and fail with core.ErrConcurrentBatch.
 type Frontend[K cmp.Ordered, V any] struct {
-	intake[K, V]
+	collector[K, V]
 
-	m   *core.Map[K, V]
-	cfg Config
-
-	stats Stats // guarded by intake.mu
-
-	ws flushWS[K, V] // collector-owned scratch
+	m *core.Map[K, V]
 }
 
 // New starts a collector over m. The frontend takes over as the Map's sole
 // driver; use Close to stop it (the Map itself is left open — closing it
-// remains the caller's responsibility).
+// remains the caller's responsibility). Flush events go to the Map's
+// current trace sink.
 func New[K cmp.Ordered, V any](m *core.Map[K, V], cfg Config) *Frontend[K, V] {
 	cfg = cfg.withDefaults()
-	f := &Frontend[K, V]{m: m, cfg: cfg}
-	f.intake.init(cfg.MaxBatch)
-	f.ws.init()
+	f := &Frontend[K, V]{m: m}
+	f.init(&mapExec[K, V]{m: m}, cfg.MaxBatch, cfg.MaxWait, m.TraceSink)
 	go f.run()
 	return f
 }
@@ -170,7 +166,7 @@ func (f *Frontend[K, V]) Map() *core.Map[K, V] { return f.m }
 func (f *Frontend[K, V]) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats
+	return f.stats.Stats
 }
 
 // Close drains the collector — every already-enqueued op still receives
@@ -180,100 +176,46 @@ func (f *Frontend[K, V]) Stats() Stats {
 // returns nil, every other call — second, concurrent, or racing in-flight
 // ops — returns core.ErrClosed deterministically after the collector has
 // fully drained. The underlying Map stays open.
-func (f *Frontend[K, V]) Close() error {
-	f.mu.Lock()
-	already := f.closed
-	f.closed = true
-	f.mu.Unlock()
-	if already {
-		<-f.done
-		return core.ErrClosed
-	}
-	f.wake()
-	<-f.done
-	return nil
+func (f *Frontend[K, V]) Close() error { return f.close() }
+
+// mapExec is the Map executor. It reuses one result buffer per call, so
+// steady-state flushes allocate nothing. A Map fails whole batches only,
+// so its per-key errors are always nil.
+type mapExec[K cmp.Ordered, V any] struct {
+	m          *core.Map[K, V]
+	ures, dres []bool
+	gres       []core.GetResult[V]
+	sres       []core.SearchResult[K, V]
 }
 
-// run is the collector goroutine: wait for ops, optionally dwell to let the
-// batch fill, swap the double buffer, flush in MaxBatch chunks.
-func (f *Frontend[K, V]) run() {
-	defer close(f.done)
-	var tmr *time.Timer
-	for {
-		f.mu.Lock()
-		for len(f.pending) == 0 {
-			if f.closed {
-				f.mu.Unlock()
-				return
-			}
-			f.mu.Unlock()
-			<-f.notify
-			f.mu.Lock()
-		}
-		// Gather: yield to runnable client goroutines until the forming
-		// batch stops growing or fills. A channel wakeup schedules the
-		// collector immediately after the first enqueuer blocks, which
-		// would flush batches of one op each; ceding the processor lets
-		// every runnable client append first. When no clients are runnable
-		// the yield returns immediately — the idle fast path stays fast.
-		for {
-			n := len(f.pending)
-			if n >= f.cfg.MaxBatch || f.closed {
-				break
-			}
-			f.mu.Unlock()
-			runtime.Gosched()
-			f.mu.Lock()
-			if len(f.pending) == n {
-				break
-			}
-		}
-		if f.cfg.MaxWait > 0 {
-			// Dwell: hold the forming batch open until it fills, the
-			// deadline passes, or the frontend starts closing.
-			deadline := f.pending[0].enq.Add(f.cfg.MaxWait)
-			for len(f.pending) < f.cfg.MaxBatch && !f.closed {
-				d := time.Until(deadline)
-				if d <= 0 {
-					break
-				}
-				f.mu.Unlock()
-				if tmr == nil {
-					tmr = time.NewTimer(d)
-				} else {
-					tmr.Reset(d)
-				}
-				expired := false
-				select {
-				case <-f.notify:
-					if !tmr.Stop() {
-						<-tmr.C
-					}
-				case <-tmr.C:
-					expired = true
-				}
-				f.mu.Lock()
-				if expired {
-					break
-				}
-			}
-		}
-		batch := f.pending
-		f.pending = f.spare
-		f.spare = nil
-		f.mu.Unlock()
-
-		for off := 0; off < len(batch); off += f.cfg.MaxBatch {
-			end := off + f.cfg.MaxBatch
-			if end > len(batch) {
-				end = len(batch)
-			}
-			f.flush(batch[off:end])
-		}
-
-		clear(batch) // drop future refs before parking the buffer
-		f.mu.Lock()
-		f.spare = batch[:0]
-		f.mu.Unlock()
+func (x *mapExec[K, V]) upsert(keys []K, vals []V) ([]bool, []error, error) {
+	res, _, err := x.m.TryUpsertInto(keys, vals, x.ures)
+	if err == nil {
+		x.ures = res
 	}
+	return res, nil, err
+}
+
+func (x *mapExec[K, V]) delete(keys []K) ([]bool, []error, error) {
+	res, _, err := x.m.TryDeleteInto(keys, x.dres)
+	if err == nil {
+		x.dres = res
+	}
+	return res, nil, err
+}
+
+func (x *mapExec[K, V]) get(keys []K) ([]core.GetResult[V], []error, error) {
+	res, _, err := x.m.TryGetInto(keys, x.gres)
+	if err == nil {
+		x.gres = res
+	}
+	return res, nil, err
+}
+
+func (x *mapExec[K, V]) successor(keys []K) ([]core.SearchResult[K, V], []error, error) {
+	res, _, err := x.m.TrySuccessorInto(keys, x.sres)
+	if err == nil {
+		x.sres = res
+	}
+	return res, nil, err
 }

@@ -2,7 +2,9 @@ package frontend
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,37 +149,44 @@ func TestFrontendBasic(t *testing.T) {
 }
 
 // TestFrontendClose: Close drains in-flight ops, later ops fail with
-// core.ErrClosed, Close is idempotent and concurrency-safe.
+// core.ErrClosed, Close is idempotent and concurrency-safe — over a Map and
+// over a 1-shard cluster.
 func TestFrontendClose(t *testing.T) {
-	m := newTestMap(t, 4)
-	f := New(m, Config{})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_, err := f.Upsert(uint64(g*1000+i), int64(i))
-				if err != nil {
-					if !errors.Is(err, core.ErrClosed) {
-						t.Errorf("Upsert: err = %v, want ErrClosed", err)
+	for _, bk := range backends() {
+		t.Run(bk.name, func(t *testing.T) {
+			f, audit := bk.start(t, Config{})
+			var wg sync.WaitGroup
+			acked := make([][]uint64, 16)
+			for g := range acked {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 200; i++ {
+						k := uint64(g*1000 + i)
+						_, err := f.Upsert(k, int64(i))
+						if err != nil {
+							if !errors.Is(err, core.ErrClosed) {
+								t.Errorf("Upsert: err = %v, want ErrClosed", err)
+							}
+							return
+						}
+						acked[g] = append(acked[g], k)
 					}
-					return
-				}
+				}(g)
 			}
-		}(g)
-	}
-	f.Close()
-	f.Close() // idempotent
-	wg.Wait()
-	if _, err := f.Get(1); !errors.Is(err, core.ErrClosed) {
-		t.Fatalf("Get after Close: err = %v, want ErrClosed", err)
-	}
-	// Every op that reported success is in the Map (none lost in the drain):
-	// spot-check by re-counting via a direct batch (the frontend is closed,
-	// so the Map is free again).
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after drain: %v", err)
+			f.Close()
+			f.Close() // idempotent
+			wg.Wait()
+			if _, err := f.Get(1); !errors.Is(err, core.ErrClosed) {
+				t.Fatalf("Get after Close: err = %v, want ErrClosed", err)
+			}
+			// Every op that reported success is in the store (none lost in
+			// the drain): the frontend is closed, so the store is free again
+			// for a direct audit.
+			if err := audit(slices.Concat(acked...)); err != nil {
+				t.Fatalf("audit after drain: %v", err)
+			}
+		})
 	}
 }
 
@@ -465,8 +474,10 @@ func TestFrontendFlushTrace(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	st := f.Stats()
+	// A flush's counts land after its replies; Close drains the collector,
+	// after which Stats is exact.
 	f.Close()
+	st := f.Stats()
 	c := p.Collector()
 	if c.Flushes != st.Flushes || c.Ops != st.Ops || c.Submitted != st.Submitted {
 		t.Fatalf("profile collector %+v disagrees with frontend stats %+v", c, st)
@@ -502,11 +513,21 @@ func TestFrontendErrorDelivery(t *testing.T) {
 }
 
 // TestFrontendDwell: with MaxWait set, a lone op is still flushed once the
-// dwell expires (liveness), and the dwell window actually coalesces.
+// dwell expires (liveness), over a Map and over a 1-shard cluster.
 func TestFrontendDwell(t *testing.T) {
-	m := newTestMap(t, 4)
-	f := New(m, Config{MaxWait: time.Millisecond})
-	defer f.Close()
+	for _, bk := range backends() {
+		t.Run(bk.name, func(t *testing.T) {
+			f, _ := bk.start(t, Config{MaxWait: time.Millisecond})
+			defer f.Close()
+			loneOpCompletes(t, f)
+		})
+	}
+}
+
+// loneOpCompletes submits one Upsert of a fresh key and fails the test if
+// it does not complete, inserted, within 5 s.
+func loneOpCompletes(t *testing.T, f pointAPI) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -519,4 +540,60 @@ func TestFrontendDwell(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("lone op under MaxWait dwell never completed")
 	}
+}
+
+// backend starts a live frontend with the given collector config over a
+// fresh store. The returned audit runs once the frontend is closed: it
+// checks the store's invariants where it has a checker, and that every
+// given key is present.
+type backend struct {
+	name  string
+	start func(t *testing.T, cfg Config) (f frontendAPI, audit func(keys []uint64) error)
+}
+
+// frontendAPI is pointAPI plus Close, the surface both frontends share.
+type frontendAPI interface {
+	pointAPI
+	Close() error
+}
+
+// backends lists the two executors the collector runs on: a Map through
+// New, and a 1-shard cluster through NewClusterFrontend.
+func backends() []backend {
+	return []backend{
+		{"map", func(t *testing.T, cfg Config) (frontendAPI, func([]uint64) error) {
+			m := newTestMap(t, 4)
+			return New(m, cfg), func(keys []uint64) error {
+				if err := m.CheckInvariants(); err != nil {
+					return err
+				}
+				res, _, err := m.TryGet(keys)
+				return allFound(keys, res, err)
+			}
+		}},
+		{"cluster", func(t *testing.T, cfg Config) (frontendAPI, func([]uint64) error) {
+			c := newTestCluster(t, 1)
+			f := NewClusterFrontend(c, ClusterConfig{MaxBatch: cfg.MaxBatch, MaxWait: cfg.MaxWait})
+			return f, func(keys []uint64) error {
+				res, errs, _, err := c.TryGet(keys)
+				if err == nil && errs != nil {
+					err = errors.Join(errs...)
+				}
+				return allFound(keys, res, err)
+			}
+		}},
+	}
+}
+
+// allFound reports err, or the first key whose Get result is absent.
+func allFound(keys []uint64, res []core.GetResult[int64], err error) error {
+	if err != nil {
+		return err
+	}
+	for i, r := range res {
+		if !r.Found {
+			return fmt.Errorf("acknowledged key %d missing", keys[i])
+		}
+	}
+	return nil
 }

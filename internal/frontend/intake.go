@@ -8,12 +8,11 @@ import (
 	"pimgo/internal/core"
 )
 
-// intake is the client-facing half of a collector-based frontend, shared by
-// the single-Map Frontend and the cluster-backed ClusterFrontend: the
-// pending/spare double buffer, the pooled futures, and the four public
-// single-key operations. The owner supplies the collector goroutine that
-// swaps and flushes pending; intake supplies everything up to that hand-off,
-// so both frontends expose the identical zero-alloc enqueue/reply contract.
+// intake is the client-facing half of the collector: the pending/spare
+// double buffer, the pooled futures, and the four public single-key
+// operations. The collector's run loop swaps and flushes pending; intake
+// supplies everything up to that hand-off, so both frontends expose the
+// identical zero-alloc enqueue/reply contract.
 type intake[K cmp.Ordered, V any] struct {
 	mu      sync.Mutex
 	pending []*future[K, V] // client-appended, collector-swapped

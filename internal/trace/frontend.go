@@ -33,9 +33,9 @@ type FlushStat struct {
 }
 
 // FlushSink is optionally implemented by sinks that want the frontend's
-// flush events in addition to the machine stream. The frontend checks for
-// it on the Map's installed sink; Tee forwards to every member that
-// implements it. Like every Sink method, Flush is invoked from a single
+// flush events in addition to the machine stream. A Frontend checks for it
+// on its Map's installed sink, a ClusterFrontend on its own configured
+// sink; Tee forwards to every member that implements it. Like every Sink method, Flush is invoked from a single
 // goroutine (the collector) — but note that goroutine is NOT the one
 // driving machine events when the sink is shared, so a sink implementing
 // FlushSink for a frontend-owned Map sees all events from the collector

@@ -205,7 +205,8 @@ type Profile struct {
 	rounds int64 // machine rounds observed (incl. recovery sub-rounds)
 
 	// collector aggregates frontend flush events (frontend.go); populated
-	// only when the profile observes a Map driven through internal/frontend.
+	// only when the profile is a Frontend's Map sink or a ClusterFrontend's
+	// sink.
 	collector CollectorTotals
 
 	// migration aggregates cluster rebalancing events (migration.go);

@@ -259,19 +259,20 @@ type TraceFaultEvent = trace.FaultEvent
 // FaultStats counters one to one.
 type TraceFaultKind = trace.FaultKind
 
-// TraceFlushStat describes one Frontend flush: ops coalesced, ops actually
-// submitted after write-coalescing, queue waits, and flush wall time (the
-// collector lives outside the simulated machine, so wall clock is the
-// honest unit — see docs/FRONTEND.md).
+// TraceFlushStat describes one Frontend or ClusterFrontend flush: ops
+// coalesced, ops actually submitted after write-coalescing, queue waits,
+// and flush wall time (the collector lives outside the simulated machine,
+// so wall clock is the honest unit — see docs/FRONTEND.md).
 type TraceFlushStat = trace.FlushStat
 
-// TraceFlushSink is optionally implemented by trace sinks that want the
-// Frontend's flush events in addition to the machine stream; TraceProfile
-// implements it (read back with TraceProfile.Collector).
+// TraceFlushSink is optionally implemented by trace sinks that want flush
+// events in addition to the machine stream: a Frontend emits them to its
+// Map's sink, a ClusterFrontend to ClusterFrontendConfig.Trace.
+// TraceProfile implements it (read back with TraceProfile.Collector).
 type TraceFlushSink = trace.FlushSink
 
-// TraceCollectorTotals is TraceProfile's aggregate over Frontend flush
-// events.
+// TraceCollectorTotals is TraceProfile's aggregate over Frontend and
+// ClusterFrontend flush events.
 type TraceCollectorTotals = trace.CollectorTotals
 
 // TraceMigrationStat describes one shard's part in a published cluster
