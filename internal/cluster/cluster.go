@@ -129,15 +129,15 @@ type Config struct {
 	// DisableRecovery turns every shard kill into an immediate transition
 	// to ShardDown (degraded mode), instead of a journal rebuild.
 	DisableRecovery bool
-	// CompactEvery selects when a shard checkpoints its journal into a
-	// fresh base snapshot. 0 (the default) is the size rule: checkpoint once
-	// the journal holds as many ops as the shard holds keys. A snapshot of
-	// n keys is then paid for by at least n journaled ops — at most one
-	// snapshot key per op, amortized O(1) — and a rebuild replays at most n
-	// ops, folded into at most 2 core batches per run of point entries
-	// between range transforms. A positive value instead checkpoints every
-	// that-many journaled batches, whatever their size; negative disables
-	// compaction (the journal grows without bound).
+	// CompactEvery selects when a shard checkpoints its journal: merges it,
+	// on the host, into a new base. 0 (the default) is the size rule:
+	// checkpoint once the journal holds as many ops as the shard holds
+	// keys. A merge over n base keys is then paid for by at least n
+	// journaled ops — amortized O(1) per op — and a rebuild folds at most
+	// n journaled ops into the base and bulk-loads the result. A positive
+	// value instead checkpoints every that-many journaled batches,
+	// whatever their size; negative disables compaction (the journal grows
+	// without bound).
 	CompactEvery int
 }
 

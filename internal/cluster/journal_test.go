@@ -220,7 +220,7 @@ func TestCheckpointBilling(t *testing.T) {
 	}
 	for i := range calls {
 		ss := c.ShardStats(i)
-		if ss.Recovery.Rounds == 0 {
+		if ss.Checkpoints == 0 {
 			t.Fatalf("shard %d never checkpointed", i)
 		}
 		sum := calls[i]

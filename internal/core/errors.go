@@ -224,19 +224,10 @@ func (m *Map[K, V]) TryRangeAuto(ops []RangeOp[K, V]) (res []RangeResult[K, V], 
 	return res, st, nil
 }
 
-// TrySnapshot is Snapshot with the error convention: journal compaction
-// checkpoints a live faulted shard, so the export must surface machine
-// death as an error instead of a panic.
-func (m *Map[K, V]) TrySnapshot() (keys []K, vals []V, st BatchStats, err error) {
-	defer catchAbort(&err)
-	keys, vals, st = m.Snapshot()
-	return keys, vals, st, nil
-}
-
 // TryBulkLoad is BulkLoad with the error convention — the rebuild path of
-// a journaled recovery (bulk-load the last base snapshot, then replay the
-// acked batches) runs under the replacement incarnation's fault plan and
-// must report failures as errors.
+// a journaled recovery (bulk-load the last checkpointed base with the
+// acked batches since folded in) runs under the replacement incarnation's
+// fault plan and must report failures as errors.
 func (m *Map[K, V]) TryBulkLoad(keys []K, vals []V) (st BatchStats, err error) {
 	if len(keys) != len(vals) {
 		return BatchStats{}, fmt.Errorf("%w: BulkLoad keys/vals length mismatch (%d vs %d)",
