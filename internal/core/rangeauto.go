@@ -18,9 +18,11 @@ import (
 // work on any single module. One O(log n + log P) task per op, spread over
 // random modules, decides the dispatch; ops with ≥ log P upper leaves in
 // range (≈ P·log P pairs, the total-work crossover) run broadcast (§5.1),
-// the rest run as one tree batch (§5.2).
+// the rest run as one tree batch (§5.2), split only where batch order
+// demands it.
 //
-// Results are in input order and identical to either strategy alone.
+// Ops apply in batch order, as with either strategy alone, and results
+// are in input order and identical to either strategy's.
 func (m *Map[K, V]) RangeAuto(ops []RangeOp[K, V]) ([]RangeResult[K, V], BatchStats) {
 	tr, c := m.beginBatch("range_auto", len(ops))
 	B := len(ops)
@@ -32,32 +34,45 @@ func (m *Map[K, V]) RangeAuto(ops []RangeOp[K, V]) ([]RangeResult[K, V], BatchSt
 	defer c.Tracker().Free(int64(4 * B))
 
 	big := m.estimateBig(c, ops)
-	var bigIdx, smallIdx []int
-	c.WorkFlat(int64(B))
-	for i := range ops {
-		if big[i] {
-			bigIdx = append(bigIdx, i)
-		} else {
-			smallIdx = append(smallIdx, i)
+	// Large ranges run broadcast, one at a time, as they come (each already
+	// touches every module; batching them adds nothing); small ranges
+	// collect into one tree batch. A large op that overlaps a pending small
+	// op, with a transform on either side, would overtake it, so the
+	// pending small ops run first. Overlap is tested against the hulls of
+	// the pending ops and of the pending transforms: a batch may split
+	// more often than it must, but never out of batch order.
+	var small []int
+	var all, tf hull[K]
+	flush := func() {
+		if len(small) == 0 {
+			return
 		}
-	}
-
-	// Large ranges: broadcast, one at a time (each already touches every
-	// module; batching them adds nothing).
-	for _, i := range bigIdx {
-		out[i] = m.rangeBroadcastInner(c, ops[i])
-	}
-	// Small ranges: one tree batch.
-	if len(smallIdx) > 0 {
-		smallOps := make([]RangeOp[K, V], len(smallIdx))
-		for j, i := range smallIdx {
+		smallOps := make([]RangeOp[K, V], len(small))
+		for j, i := range small {
 			smallOps[j] = ops[i]
 		}
 		res, _, _ := m.rangeTreeInner(c, smallOps)
-		for j, i := range smallIdx {
+		for j, i := range small {
 			out[i] = res[j]
 		}
+		small, all, tf = small[:0], hull[K]{}, hull[K]{}
 	}
+	c.WorkFlat(int64(B))
+	for i, op := range ops {
+		if !big[i] {
+			small = append(small, i)
+			all.add(op.Lo, op.Hi)
+			if op.Kind == RangeTransform {
+				tf.add(op.Lo, op.Hi)
+			}
+			continue
+		}
+		if tf.meets(op.Lo, op.Hi) || op.Kind == RangeTransform && all.meets(op.Lo, op.Hi) {
+			flush()
+		}
+		out[i] = m.rangeBroadcastInner(c, op)
+	}
+	flush()
 	return out, m.endBatch(tr, c, B, 0, 0)
 }
 
@@ -125,3 +140,21 @@ func (m *Map[K, V]) estimateBig(c *cpu.Ctx, ops []RangeOp[K, V]) []bool {
 	}
 	return big
 }
+
+// hull is the smallest closed interval covering the ranges added to it;
+// the zero value covers nothing.
+type hull[K cmp.Ordered] struct {
+	lo, hi K
+	ok     bool
+}
+
+func (h *hull[K]) add(lo, hi K) {
+	if !h.ok {
+		*h = hull[K]{lo: lo, hi: hi, ok: true}
+		return
+	}
+	h.lo, h.hi = min(h.lo, lo), max(h.hi, hi)
+}
+
+// meets reports whether [lo, hi] overlaps the hull.
+func (h hull[K]) meets(lo, hi K) bool { return h.ok && lo <= h.hi && h.lo <= hi }

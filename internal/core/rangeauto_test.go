@@ -66,6 +66,43 @@ func TestRangeAutoTransform(t *testing.T) {
 	}
 }
 
+// TestRangeAutoBatchOrder: a small op ahead of an overlapping large one
+// applies first, though large ops run broadcast and small ones as a tree
+// batch — whether the transforms commute or not, and for a read ahead of a
+// transform.
+func TestRangeAutoBatchOrder(t *testing.T) {
+	m, ref := seedMap(t, 4, 1500)
+	keys := m.KeysInOrder()
+	lo, hi := keys[5], keys[9]
+	huge := RangeOp[uint64, int64]{Lo: keys[0], Hi: keys[len(keys)-1], Kind: RangeTransform,
+		Transform: func(v int64) int64 { return v + 1 }}
+	ops := []RangeOp[uint64, int64]{
+		{Lo: lo, Hi: hi, Kind: RangeRead},
+		{Lo: lo, Hi: hi, Kind: RangeTransform, Transform: func(v int64) int64 { return v * 3 }},
+		huge,
+		{Lo: keys[20], Hi: keys[22], Kind: RangeRead},
+	}
+	res, _ := m.RangeAuto(ops)
+	mustCheck(t, m)
+	checkRange(t, "read before the transforms", res[0], ref.rangePairs(lo, hi), true)
+	for i, p := range res[3].Pairs {
+		if want := ref.m[p.Key] + 1; p.Value != want {
+			t.Fatalf("read after the huge op: pair %d is %d=%d, want %d", i, p.Key, p.Value, want)
+		}
+	}
+	for _, k := range ref.sortedKeys() {
+		want := ref.m[k]
+		if k >= lo && k <= hi {
+			want *= 3 // the small op runs first
+		}
+		want++
+		got, _ := m.GetOne(k)
+		if !got.Found || got.Value != want {
+			t.Fatalf("Get(%d) = %+v, want %d", k, got, want)
+		}
+	}
+}
+
 func TestRangeAutoEmptyBatch(t *testing.T) {
 	m := newTestMap(t, 4)
 	res, _ := m.RangeAuto(nil)

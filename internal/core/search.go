@@ -529,6 +529,9 @@ func (m *Map[K, V]) execSearch(c *cpu.Ctx, B int, mode searchMode,
 	ws.done = grow(ws.done, B)
 	clear(ws.done)
 	ws.idOf = grow(ws.idOf, B)
+	// The path and predecessor logs hold this search's records only: a
+	// batch may run more than one search (RangeAuto's tree batches).
+	ws.pathLog, ws.predLog = ws.pathLog[:0], ws.predLog[:0]
 	sr := &ws.search
 	*sr = searchRun[K, V]{
 		m: m, c: c, mode: mode,

@@ -214,6 +214,10 @@ type Profile struct {
 	// part in a split/merge migration.
 	migration MigrationTotals
 
+	// checkpoint aggregates journal folds (checkpoint.go); populated only
+	// when the profile observes a cluster shard.
+	checkpoint CheckpointTotals
+
 	// rebalance aggregates control-loop decisions (rebalance.go); populated
 	// only when the profile observes a ClusterFrontend whose background
 	// rebalance loop is running.

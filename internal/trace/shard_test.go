@@ -55,3 +55,18 @@ func TestShardSinkFlushForwarding(t *testing.T) {
 		t.Fatalf("collector totals = %+v", got)
 	}
 }
+
+// TestCheckpointForwarding: checkpoint events pass through Shard and Tee
+// to every member that takes them, and Profile sums them by kind.
+func TestCheckpointForwarding(t *testing.T) {
+	a, b := NewProfile(), NewProfile()
+	s := Tee(Shard(2, a), b).(CheckpointSink)
+	s.Checkpoint(CheckpointStat{Shard: 2, JournalOps: 5, Keys: 40, CPUWork: 90})
+	s.Checkpoint(CheckpointStat{Shard: 2, Rebuild: true, JournalOps: 3, Keys: 41, CPUWork: 60})
+	want := CheckpointTotals{Checkpoints: 1, Rebuilds: 1, JournalOps: 8, Keys: 81, CPUWork: 150}
+	for name, p := range map[string]*Profile{"shard-wrapped": a, "direct": b} {
+		if got := p.Checkpoints(); got != want {
+			t.Errorf("%s: %v, want %v", name, got, want)
+		}
+	}
+}

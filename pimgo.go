@@ -289,6 +289,19 @@ type TraceMigrationSink = trace.MigrationSink
 // TraceMigrationTotals is TraceProfile's aggregate over migration events.
 type TraceMigrationTotals = trace.MigrationTotals
 
+// TraceCheckpointStat describes one host-side fold of a cluster shard's
+// journal — a checkpoint or the state a rebuild bulk-loads — with its CPU
+// cost, emitted to that shard's sink between its batches.
+type TraceCheckpointStat = trace.CheckpointStat
+
+// TraceCheckpointSink is optionally implemented by trace sinks that want
+// the Cluster's checkpoint events in addition to the machine stream;
+// TraceProfile implements it (read back with TraceProfile.Checkpoints).
+type TraceCheckpointSink = trace.CheckpointSink
+
+// TraceCheckpointTotals is TraceProfile's aggregate over checkpoint events.
+type TraceCheckpointTotals = trace.CheckpointTotals
+
 // TraceRebalanceStat describes one invocation of the ClusterFrontend's
 // rebalance control loop: the ClusterDeltaLoads window consumed, the
 // actions the policy proposed, the migrations that published a new routing
